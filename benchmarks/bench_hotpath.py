@@ -13,6 +13,13 @@ Two faces:
   a 1-CPU container's measurement) so runner-to-runner variance does
   not flake the gate, while a regression to the pre-optimization
   kernel — several times slower — still trips it.
+
+The script also runs the online lane
+(:func:`repro.perf.bench.bench_online`: one shard, LRU and adaptive, at
+capacities 64 and 4096) and gates capacity independence: the
+LRU/adaptive ops ratio at 4096 may be at most the baselines'
+``online.max_ratio_growth`` times the ratio at 64. Both policies run
+on the same runner, so the ratio does not move with runner speed.
 """
 
 from __future__ import annotations
@@ -25,7 +32,14 @@ import time
 
 import pytest
 
-from repro.perf.bench import HOTPATH_POLICIES, bench_hotpath, synthetic_stream
+from repro.perf.bench import (
+    HOTPATH_POLICIES,
+    ONLINE_CAPACITIES,
+    bench_hotpath,
+    bench_online,
+    render_online,
+    synthetic_stream,
+)
 
 BASELINES_PATH = pathlib.Path(__file__).resolve().parent / "baselines.json"
 
@@ -121,6 +135,27 @@ def check_against_baselines(
     return violations
 
 
+def check_online(online: dict, baselines: dict) -> "list[str]":
+    """Gate a :func:`bench_online` result on capacity independence.
+
+    Returns a violation message when the LRU/adaptive ops ratio at the
+    larger capacity exceeds ``baselines["online"]["max_ratio_growth"]``
+    times the ratio at the smaller one.
+    """
+    growth = baselines["online"]["max_ratio_growth"]
+    small, large = (str(c) for c in ONLINE_CAPACITIES)
+    rows = online["by_capacity"]
+    base = rows[small]["lru_over_adaptive"]
+    grown = rows[large]["lru_over_adaptive"]
+    if grown > growth * base:
+        return [
+            f"online: lru/adaptive ops ratio {grown:.2f}x at capacity "
+            f"{large} exceeds {growth} x the {base:.2f}x at capacity "
+            f"{small}"
+        ]
+    return []
+
+
 def main(argv=None) -> int:
     """CI gate entry point: measure, compare, report, exit non-zero on
     regression."""
@@ -142,6 +177,7 @@ def main(argv=None) -> int:
     from repro.perf.kernel import set_default_kernel
 
     set_default_kernel(args.kernel)
+    baselines = load_baselines(pathlib.Path(args.baselines))
     accesses = QUICK_ACCESSES if args.quick else FULL_ACCESSES
     start = time.perf_counter()
     measured = bench_hotpath(accesses=accesses)
@@ -155,16 +191,20 @@ def main(argv=None) -> int:
               f"miss ratio {row['miss_ratio']:.3f}   "
               f"kernel {row.get('kernel', 'scalar')}")
 
+    online = bench_online()
+    print("\n".join(render_online(online)))
+    report = dict(measured, online=online)
+
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(measured, handle, indent=1, sort_keys=True)
+            json.dump(report, handle, indent=1, sort_keys=True)
             handle.write("\n")
 
-    baselines = load_baselines(pathlib.Path(args.baselines))
     violations = check_against_baselines(measured, baselines)
+    violations += check_online(online, baselines)
     if violations:
-        print("REGRESSION: hot-path throughput fell below the pinned "
-              "floors:", file=sys.stderr)
+        print("REGRESSION: pinned performance gates failed:",
+              file=sys.stderr)
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ class CacheSet(SetView):
     sweeps up to 32-way) O(1) per access.
     """
 
-    __slots__ = ("_ways", "_tags", "_dirty", "_tag_to_way")
+    __slots__ = ("_ways", "_tags", "_dirty", "_tag_to_way", "_free_from")
 
     def __init__(self, ways: int):
         if ways <= 0:
@@ -25,6 +25,11 @@ class CacheSet(SetView):
         self._tags: List[Optional[int]] = [None] * ways
         self._dirty = [False] * ways
         self._tag_to_way = {}
+        # Every way below this one is valid, so free_way() starts its
+        # search here: filling a set way by way costs O(1) per fill
+        # rather than O(ways). Only evict() frees a way, and it lowers
+        # the bound.
+        self._free_from = 0
 
     @property
     def ways(self) -> int:
@@ -54,9 +59,12 @@ class CacheSet(SetView):
 
     def free_way(self) -> Optional[int]:
         """Lowest-index invalid way, or None if the set is full."""
-        for way, tag in enumerate(self._tags):
-            if tag is None:
+        tags = self._tags
+        for way in range(self._free_from, self._ways):
+            if tags[way] is None:
+                self._free_from = way
                 return way
+        self._free_from = self._ways
         return None
 
     def is_dirty(self, way: int) -> bool:
@@ -88,6 +96,8 @@ class CacheSet(SetView):
         self._tags[way] = None
         self._dirty[way] = False
         del self._tag_to_way[tag]
+        if way < self._free_from:
+            self._free_from = way
         return tag, dirty
 
     def resident_tags(self) -> List[int]:
@@ -108,3 +118,4 @@ class CacheSet(SetView):
         self._tag_to_way = {
             tag: way for way, tag in enumerate(self._tags) if tag is not None
         }
+        self._free_from = 0

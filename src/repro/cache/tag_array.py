@@ -160,7 +160,9 @@ class TagArray:
 
         Shadow state is performance-only: corrupting it can shift which
         component the adaptive policy imitates but can never make the
-        *real* cache serve wrong data.
+        *real* cache serve wrong data. The write bypasses the owning
+        adaptive policy's event stream, so the caller must then call
+        its ``invalidate_derived()``.
 
         Returns:
             True if a resident tag was corrupted (or dropped to

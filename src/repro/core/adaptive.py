@@ -27,10 +27,25 @@ On a real miss the cache asks for a victim; Algorithm 1 runs:
 
 The policy generalizes transparently from two components to N — the
 paper's five-policy experiment (Section 4.4) uses the same class.
+
+Steps 2 and 3 are scans over the set in hardware, where a set is 8
+ways. An online shard is one set with thousands of ways, so the policy
+answers both from a per-set index instead (:class:`_SetIndex`), kept up
+to date by ``observe``, ``on_fill`` and ``on_invalidate``: each real
+block's shadow print, a bitmask of the valid ways, a print -> ways map,
+and per component a bitmask of real ways that component's shadow does
+not hold. The lowest set bit of a mask is the lowest way a scan would
+have found, so the decisions are the scan's, bit for bit. A view that
+withholds a way (:meth:`~repro.policies.base.SetView.hidden_way`) is
+masked out, so byte-pressure evictions in a shard cost the same. The
+index is derived state: it is not saved, and
+:meth:`AdaptivePolicy.invalidate_derived` drops it after an
+out-of-band write, to be rebuilt at the set's next ``victim()``.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, List, Optional, Sequence
 
 from repro.cache.tag_array import ShadowOutcome, TagArray, identity_tag
@@ -38,6 +53,35 @@ from repro.core.history import BitVectorHistory, MissHistory
 from repro.core.selector import PolicySelector
 from repro.policies.base import ReplacementPolicy, SetView
 from repro.utils.rng import DeterministicRNG
+
+
+class _SetIndex:
+    """Shadow-membership index of one real set (internal).
+
+    Attributes:
+        prints: per way, the shadow print (transformed tag) of the real
+            block there, or None if the way is invalid.
+        valid: bitmask of the valid real ways.
+        ways_of: print -> bitmask of the real ways holding that print
+            (several, when partial tags alias).
+        absent: per component, bitmask of the valid real ways whose
+            print that component's shadow set does not hold.
+        recency: the LRU fallback's heap of ``(stamp, way)``, built at
+            its first use, or None.
+        unheaped: bitmask of the ways with no entry in ``recency``
+            (invalid when it was built, or dropped since).
+    """
+
+    __slots__ = ("prints", "valid", "ways_of", "absent", "recency",
+                 "unheaped")
+
+    def __init__(self, ways: int, components: int):
+        self.prints: List[Optional[int]] = [None] * ways
+        self.valid = 0
+        self.ways_of = {}
+        self.absent = [0] * components
+        self.recency: Optional[list] = None
+        self.unheaped = 0
 
 
 class AdaptivePolicy(ReplacementPolicy):
@@ -124,6 +168,13 @@ class AdaptivePolicy(ReplacementPolicy):
         # Recency stamps for the LRU fallback and the imitate-LRU shortcut.
         self._clock = 0
         self._stamp = [[0] * ways for _ in range(num_sets)]
+        # Derived state (see the module docstring). Sets start empty, so
+        # their indexes start built; None marks one to rebuild.
+        self._shadow_sets = [shadow.sets for shadow in self.shadows]
+        self._all_ways = (1 << ways) - 1
+        self._index: List[Optional[_SetIndex]] = [
+            _SetIndex(ways, len(self.components)) for _ in range(num_sets)
+        ]
         # Outcomes of the current access's shadow replays, consumed by
         # victim(); the cache calls observe() exactly once per access.
         self._last_outcomes: List[ShadowOutcome] = []
@@ -162,6 +213,9 @@ class AdaptivePolicy(ReplacementPolicy):
             self.vote_sink(missed)
         self._last_outcomes = outcomes
         self._last_set = set_index
+        index = self._index[set_index]
+        if index is not None and True in missed:
+            self._track_shadow_misses(index, tag, outcomes)
         if self.fault_injector is not None:
             self.fault_injector.tick()
 
@@ -174,6 +228,10 @@ class AdaptivePolicy(ReplacementPolicy):
         self._check_slot(set_index, way)
         self._clock += 1
         self._stamp[set_index][way] = self._clock
+        index = self._index[set_index]
+        if index is not None:
+            stored = tag if self._identity else self.tag_transform(tag)
+            self._place(set_index, index, way, stored)
 
     def victim(self, set_index: int, set_view: SetView) -> int:
         if set_index != self._last_set or not self._last_outcomes:
@@ -185,81 +243,167 @@ class AdaptivePolicy(ReplacementPolicy):
         chosen = self.selectors[set_index].best_component()
         self._decisions[set_index][chosen] += 1
         outcome = self._last_outcomes[chosen]
-        shadow = self.shadows[chosen]
+        index = self._index[set_index]
+        if index is None:
+            index = self._build_index(set_index, set_view)
+            self._index[set_index] = index
+        allowed = index.valid
+        hidden = set_view.hidden_way()
+        if hidden is not None:
+            # A shard protecting the entry just written.
+            allowed &= ~(1 << hidden)
 
         # Step 2: the imitated component evicted a block that the real
-        # cache also holds -> evict the same block.
+        # cache also holds -> evict the same block. Lowest set bit =
+        # lowest way, the one a scan in way order finds first.
         if outcome.missed and outcome.victim_tag is not None:
-            way = self._find_way_by_stored_tag(set_view, outcome.victim_tag)
-            if way is not None:
-                return way
+            ways = index.ways_of.get(outcome.victim_tag, 0) & allowed
+            if ways:
+                return (ways & -ways).bit_length() - 1
 
         # Step 3: evict any real block not in the imitated component.
-        way = self._find_way_not_in_shadow(set_index, set_view, shadow)
-        if way is not None:
-            return way
+        ways = index.absent[chosen] & allowed
+        if ways:
+            return (ways & -ways).bit_length() - 1
 
         # Aliasing (partial tags) hid every candidate: arbitrary victim.
         self.fallback_evictions += 1
-        return self._fallback_victim(set_index, set_view)
+        if self.fallback == "random":
+            candidates = (
+                range(self.ways) if allowed == self._all_ways
+                else [w for w in range(self.ways) if allowed >> w & 1]
+            )
+            return candidates[self._rng.choice_index(len(candidates))]
+        return self._least_recent(set_index, index, allowed)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
-        # Stale recency stamps are harmless: invalid ways are filled
-        # before victim() can ever be consulted about them.
+        # Stale recency stamps are harmless: the index's valid mask
+        # keeps invalid ways out of every victim choice.
         self._check_slot(set_index, way)
+        index = self._index[set_index]
+        if index is not None and index.prints[way] is not None:
+            self._unplace(index, way)
+
+    def invalidate_derived(self) -> None:
+        """Drop the membership index (and recency heap) of every set."""
+        self._index = [None] * self.num_sets
 
     # ------------------------------------------------------------------
-    # Internals
+    # Internals: the derived per-set index
     # ------------------------------------------------------------------
 
-    def _find_way_by_stored_tag(
-        self, set_view: SetView, stored_tag: int
-    ) -> Optional[int]:
-        # victim() only runs on full sets, where valid_ways() is just
-        # 0..ways-1 in order; skip building the list (and skip the
-        # identity transform for full tags).
-        if set_view.valid_count() == self.ways:
-            ways = range(self.ways)
-        else:
-            ways = set_view.valid_ways()
-        tag_at = set_view.tag_at
-        if self._identity:
-            for way in ways:
-                if tag_at(way) == stored_tag:
-                    return way
-            return None
-        transform = self.tag_transform
-        for way in ways:
-            if transform(tag_at(way)) == stored_tag:
-                return way
-        return None
+    def _track_shadow_misses(
+        self, index: _SetIndex, tag: int, outcomes: List[ShadowOutcome]
+    ) -> None:
+        """Apply this access's shadow fills and evictions to ``absent``."""
+        stored = tag if self._identity else self.tag_transform(tag)
+        ways_of = index.ways_of
+        filled = ways_of.get(stored, 0)
+        absent = index.absent
+        for component, outcome in enumerate(outcomes):
+            if not outcome.missed:
+                continue
+            ways = absent[component]
+            if filled:
+                ways &= ~filled
+            if outcome.victim_tag is not None:
+                ways |= ways_of.get(outcome.victim_tag, 0)
+            absent[component] = ways
 
-    def _find_way_not_in_shadow(
-        self, set_index: int, set_view: SetView, shadow: TagArray
-    ) -> Optional[int]:
-        if set_view.valid_count() == self.ways:
-            ways = range(self.ways)
+    def _place(
+        self, set_index: int, index: _SetIndex, way: int, stored: int
+    ) -> None:
+        """Record the real block with print ``stored`` now in ``way``,
+        replacing whatever the index held there."""
+        bit = 1 << way
+        ways_of = index.ways_of
+        old = index.prints[way]
+        if old is None:
+            index.valid |= bit
+            if index.unheaped & bit:
+                index.unheaped ^= bit
+                heappush(index.recency, (self._stamp[set_index][way], way))
         else:
-            ways = set_view.valid_ways()
-        tag_at = set_view.tag_at
-        resident = shadow.sets[set_index]._tag_to_way
-        if self._identity:
-            for way in ways:
-                if tag_at(way) not in resident:
-                    return way
-            return None
-        transform = self.tag_transform
-        for way in ways:
-            if transform(tag_at(way)) not in resident:
-                return way
-        return None
+            rest = ways_of[old] ^ bit
+            if rest:
+                ways_of[old] = rest
+            else:
+                del ways_of[old]
+        index.prints[way] = stored
+        ways_of[stored] = ways_of.get(stored, 0) | bit
+        absent = index.absent
+        for component, sets in enumerate(self._shadow_sets):
+            if stored in sets[set_index]._tag_to_way:
+                absent[component] &= ~bit
+            else:
+                absent[component] |= bit
 
-    def _fallback_victim(self, set_index: int, set_view: SetView) -> int:
-        candidates = set_view.valid_ways()
-        if self.fallback == "random":
-            return candidates[self._rng.choice_index(len(candidates))]
+    @staticmethod
+    def _unplace(index: _SetIndex, way: int) -> None:
+        """Forget the real block in ``way``."""
+        bit = 1 << way
+        stored = index.prints[way]
+        index.prints[way] = None
+        index.valid ^= bit
+        rest = index.ways_of[stored] ^ bit
+        if rest:
+            index.ways_of[stored] = rest
+        else:
+            del index.ways_of[stored]
+        absent = index.absent
+        for component, ways in enumerate(absent):
+            if ways & bit:
+                absent[component] = ways ^ bit
+
+    def _build_index(self, set_index: int, set_view: SetView) -> _SetIndex:
+        """Rebuild one set's index from the real set and the shadows."""
+        index = _SetIndex(self.ways, len(self.components))
+        transform = self.tag_transform
+        for way in range(self.ways):
+            tag = set_view.tag_at(way)
+            if tag is not None:
+                stored = tag if self._identity else transform(tag)
+                self._place(set_index, index, way, stored)
+        return index
+
+    def _least_recent(
+        self, set_index: int, index: _SetIndex, allowed: int
+    ) -> int:
+        """The allowed way with the oldest recency stamp (lowest way on
+        ties) — the LRU fallback.
+
+        The set's heap holds one ``(stamp, way)`` entry per valid way.
+        Stamps only grow, so an entry's stamp is at most its way's
+        current one; an outdated top entry is re-keyed, and an
+        up-to-date one is the true minimum. The entry of a way found
+        invalid is dropped (``unheaped``; ``_place`` pushes a new one
+        when the way is filled again); the way a view hides is set
+        aside and put back afterwards.
+        """
         stamps = self._stamp[set_index]
-        return min(candidates, key=stamps.__getitem__)
+        heap = index.recency
+        if heap is None:
+            valid = index.valid
+            heap = [(stamp, way) for way, stamp in enumerate(stamps)
+                    if valid >> way & 1]
+            heapify(heap)
+            index.recency = heap
+            index.unheaped = self._all_ways ^ valid
+        hidden = []
+        while True:
+            stamp, way = heap[0]
+            if not index.valid >> way & 1:
+                heappop(heap)
+                index.unheaped |= 1 << way
+            elif stamp != stamps[way]:
+                heapreplace(heap, (stamps[way], way))
+            elif allowed >> way & 1:
+                break
+            else:
+                hidden.append(heappop(heap))
+        for entry in hidden:
+            heappush(heap, entry)
+        return way
 
     # ------------------------------------------------------------------
     # Introspection for experiments
@@ -327,3 +471,4 @@ class AdaptivePolicy(ReplacementPolicy):
         self.fallback_evictions = int(state["fallback_evictions"])
         self._last_outcomes = []
         self._last_set = -1
+        self.invalidate_derived()

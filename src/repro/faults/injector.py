@@ -130,6 +130,7 @@ class FaultInjector:
             return
         aliased = shadow.contains_stored(set_index, new)
         if shadow.corrupt_stored(set_index, old, new):
+            self._armed.invalidate_derived()
             self.log.shadow_tag_flips += 1
             if aliased:
                 self.log.shadow_tag_aliased += 1

@@ -13,7 +13,7 @@ the online analogue of a cache tag. Fingerprints are
   partial fingerprints keep, mirroring how a set-indexed cache tags
   with the bits above the index);
 * foldable down to a *partial fingerprint* via
-  :func:`~repro.utils.bitops.xor_fold` — Section 3.1's partial-tag
+  :func:`~repro.utils.bitops.xor_folder` — Section 3.1's partial-tag
   optimization applied to shadow directories.
 """
 
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.utils.bitops import is_power_of_two, xor_fold
+from repro.cache.tag_array import identity_tag
+from repro.utils.bitops import is_power_of_two, xor_folder
 
 FINGERPRINT_BITS = 64
 
@@ -104,14 +105,14 @@ def shard_of(fingerprint: int, num_shards: int) -> int:
 def partial_fingerprint_transform(bits):
     """Build a shadow-directory transform keeping ``bits``-wide prints.
 
-    Returns the identity for ``bits`` of None or >= 64; otherwise an
-    XOR-fold down to ``bits`` bits (Section 3.1's "XOR of bit groups"
-    variant — low-bit truncation would alias all keys within a shard
-    run generated from a common prefix).
+    Returns :func:`~repro.cache.tag_array.identity_tag` for ``bits`` of
+    None or >= 64; otherwise an XOR-fold down to ``bits`` bits (Section
+    3.1's "XOR of bit groups" variant — low-bit truncation would alias
+    all keys within a shard run generated from a common prefix).
     """
     if bits is None or bits >= FINGERPRINT_BITS:
-        return lambda fingerprint: fingerprint
+        return identity_tag
     if bits <= 0:
         raise ValueError(f"partial fingerprint width must be positive, "
                          f"got {bits}")
-    return lambda fingerprint: xor_fold(fingerprint, bits, FINGERPRINT_BITS)
+    return xor_folder(bits, FINGERPRINT_BITS)

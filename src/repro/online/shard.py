@@ -50,8 +50,9 @@ class ShardView(SetView):
     real cache stores full tags while shadow arrays store partial ones.
     """
 
-    def __init__(self, slots: List[Optional[_Entry]]):
+    def __init__(self, slots: List[Optional[_Entry]], key_to_way: dict):
         self._slots = slots
+        self._key_to_way = key_to_way
 
     @property
     def ways(self) -> int:
@@ -68,12 +69,8 @@ class ShardView(SetView):
         return [w for w, e in enumerate(self._slots) if e is not None]
 
     def valid_count(self) -> int:
-        """Number of occupied ways (no list materialisation)."""
-        count = 0
-        for entry in self._slots:
-            if entry is not None:
-                count += 1
-        return count
+        """Number of occupied ways, in O(1): one key per occupied way."""
+        return len(self._key_to_way)
 
 
 class _ProtectedView(SetView):
@@ -101,6 +98,10 @@ class _ProtectedView(SetView):
         """One fewer than the inner view: the protected way (the entry
         just written) is always valid."""
         return self._inner.valid_count() - 1
+
+    def hidden_way(self) -> int:
+        """The protected way."""
+        return self._protected
 
 
 class CacheShard:
@@ -150,8 +151,10 @@ class CacheShard:
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._slots: List[Optional[_Entry]] = [None] * capacity
-        self._view = ShardView(self._slots)
+        # The view shares both containers, so they are only ever
+        # mutated in place, never rebound.
         self._key_to_way = {}
+        self._view = ShardView(self._slots, self._key_to_way)
         self._free = list(range(capacity - 1, -1, -1))
         self.bytes_used = 0
         # Counters; read via snapshot() for a consistent view.
@@ -390,7 +393,7 @@ class CacheShard:
         """
         with self._lock:
             now = self._clock()
-            self._key_to_way = {}
+            self._key_to_way.clear()
             self.bytes_used = 0
             for way, row in enumerate(state["entries"]):
                 if row is None:

@@ -11,7 +11,10 @@ to ``BENCH_perf.json``:
   enough to exercise the victim path hard);
 * **sweep wall-clock** — one mini-scale policy sweep, serial and at
   each requested ``--workers`` count, through the real
-  :func:`~repro.experiments.base.run_policy_sweep` path.
+  :func:`~repro.experiments.base.run_policy_sweep` path;
+* **online lane** — ops/sec of a single-shard online cache under LRU
+  and adaptive at two shard capacities, whose LRU/adaptive ratio shows
+  whether the adaptive per-operation cost grows with capacity.
 
 The recorded file also carries the machine context (CPU count, Python
 version) because both numbers are meaningless without it; the CI
@@ -50,6 +53,14 @@ SWEEP_SPECS = {
     "LFU": {"policy_kind": "lfu"},
     "Adaptive": {"policy_kind": "adaptive"},
 }
+
+
+#: Online lane geometry: per-shard capacities, policies and keystream.
+ONLINE_CAPACITIES = (64, 4096)
+ONLINE_POLICIES = ("lru", "adaptive")
+ONLINE_UNIVERSE = 20_000
+ONLINE_OPS = 20_000
+ONLINE_SEED = 7
 
 
 def synthetic_stream(
@@ -137,6 +148,64 @@ def bench_hotpath(
     return results
 
 
+def bench_online(repeats: int = 3) -> Dict[str, object]:
+    """Ops/sec of a single-shard online cache, per capacity and policy.
+
+    A shard is one set with ``capacity`` ways, so victim selection that
+    scans the set makes the adaptive cost per miss grow with capacity
+    while LRU's stays flat. Each run drives ``zipf_keys(20000, 20000,
+    alpha=0.9)`` get-then-put-on-miss through a fresh
+    :class:`~repro.online.engine.AdaptiveKVCache` with one shard; the
+    best of ``repeats`` runs is kept. ``lru_over_adaptive`` per capacity
+    is the ratio that the capacity-independence gate compares.
+    """
+    from repro.online.engine import AdaptiveKVCache
+    from repro.workloads.keystreams import zipf_keys
+
+    keys = zipf_keys(ONLINE_UNIVERSE, ONLINE_OPS, alpha=0.9,
+                     seed=ONLINE_SEED)
+    rows: Dict[str, Dict[str, object]] = {}
+    for capacity in ONLINE_CAPACITIES:
+        row: Dict[str, object] = {}
+        for kind in ONLINE_POLICIES:
+            best = None
+            for _ in range(repeats):
+                cache = AdaptiveKVCache(
+                    capacity_entries=capacity, num_shards=1, policy=kind,
+                    seed=ONLINE_SEED,
+                )
+                get = cache.get
+                put = cache.put
+                start = time.perf_counter()
+                for key in keys:
+                    if get(key) is None:
+                        put(key, key)
+                elapsed = time.perf_counter() - start
+                best = elapsed if best is None else min(best, elapsed)
+            stats = cache.stats()
+            entry = {
+                "ops_per_s": round(ONLINE_OPS / best, 1),
+                "hit_ratio": round(stats.hit_ratio, 6),
+                "evictions": stats.evictions,
+            }
+            if kind == "adaptive":
+                entry["fallback_evictions"] = (
+                    cache.shards[0].policy.fallback_evictions
+                )
+            row[kind] = entry
+        row["lru_over_adaptive"] = round(
+            row["lru"]["ops_per_s"] / row["adaptive"]["ops_per_s"], 3
+        )
+        rows[str(capacity)] = row
+    return {
+        "ops": ONLINE_OPS,
+        "universe": ONLINE_UNIVERSE,
+        "alpha": 0.9,
+        "num_shards": 1,
+        "by_capacity": rows,
+    }
+
+
 def bench_sweep(
     workers_counts: Sequence[int] = (1, 4),
     accesses: int = 4000,
@@ -211,6 +280,7 @@ def run_perf(
         "quick": quick,
         "kernel_mode": get_default_kernel(),
         "hotpath": bench_hotpath(accesses=hot_accesses),
+        "online": bench_online(repeats=1 if quick else 3),
         "sweep": bench_sweep(
             workers_counts=workers_counts, accesses=sweep_accesses
         ),
@@ -219,6 +289,19 @@ def run_perf(
         json.dump(report, handle, indent=1, sort_keys=True)
         handle.write("\n")
     return report
+
+
+def render_online(online: Dict[str, object]) -> List[str]:
+    """Report lines for a :func:`bench_online` result."""
+    lines = [f"online (1 shard, {online['ops']} ops, ops/sec):"]
+    for capacity, row in online["by_capacity"].items():
+        lines.append(
+            f"  capacity {capacity:>5s}   "
+            f"lru {row['lru']['ops_per_s']:>10,.0f}   "
+            f"adaptive {row['adaptive']['ops_per_s']:>10,.0f}   "
+            f"lru/adaptive {row['lru_over_adaptive']:.2f}x"
+        )
+    return lines
 
 
 def render_perf(report: Dict[str, object]) -> str:
@@ -236,6 +319,7 @@ def render_perf(report: Dict[str, object]) -> str:
             f"miss ratio {row['miss_ratio']:.3f}   "
             f"kernel {row.get('kernel', 'scalar')}"
         )
+    lines.extend(render_online(report["online"]))
     sweep = report["sweep"]
     lines.append(
         f"sweep ({len(sweep['workloads'])} workloads x "

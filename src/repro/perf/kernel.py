@@ -27,16 +27,19 @@ output: ``CacheStats``, per-set miss counters, the full policy
 ``state_dict()`` (component metadata, shadow contents, selector windows,
 switch counts, decision counters, fallback evictions) and the resulting
 ``CacheSet`` tags/dirty bits. The golden digests and the differential
-oracle campaign run with the kernel on and must not move. Two pieces of
-*non-observable* internal state are allowed to differ, exactly as they
-are after a ``load_state_dict`` round-trip (both are excluded from
+oracle campaign run with the kernel on and must not move. Three pieces
+of *non-observable* internal state are allowed to differ, exactly as
+they are after a ``load_state_dict`` round-trip (all are excluded from
 ``state_dict()``):
 
 * ``AdaptivePolicy._last_outcomes`` is left reset (it only carries
   information between ``observe`` and ``victim`` within one access);
 * the LRU shadow ``TagArray``'s per-set dict iteration order is recency
   order rather than fill order (the dict is an index, not state;
-  ``state_dict`` serializes the way-indexed tag list).
+  ``state_dict`` serializes the way-indexed tag list);
+* the derived victim indexes of the policy and both components are
+  dropped (``invalidate_derived()``) and rebuilt at each set's next
+  scalar ``victim()``.
 
 Saturation skipping
 -------------------

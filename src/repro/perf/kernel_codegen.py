@@ -477,6 +477,9 @@ def _kernel(cache, n, touched, starts, tagsL, gisL, writesL, rec, skip):
     policy.fallback_evictions += fbT
     policy._last_outcomes = []
     policy._last_set = -1
+    policy.invalidate_derived()
+    compA.invalidate_derived()
+    compB.invalidate_derived()
     stats = cache.stats
     stats.accesses += n
     stats.hits += hitsT

@@ -54,6 +54,17 @@ class SetView(abc.ABC):
         """
         return len(self.valid_ways())
 
+    def hidden_way(self) -> Optional[int]:
+        """A valid way this view withholds from victim choice, or None.
+
+        A view may narrow the candidates only this way: they are the
+        set's valid ways minus this one (a shard protecting the entry
+        just written). Policies that track which ways are valid can
+        then answer without materialising ``valid_ways``. Default:
+        None, every valid way is a candidate.
+        """
+        return None
+
 
 class ReplacementPolicy(abc.ABC):
     """Base class for replacement policies.
@@ -95,6 +106,18 @@ class ReplacementPolicy(abc.ABC):
         Policies whose victim choice iterates valid ways only (all of the
         built-ins) need no cleanup; policies keeping ordered structures
         override this.
+        """
+
+    def invalidate_derived(self) -> None:
+        """Drop derived indexes after an out-of-band state write.
+
+        Some policies keep indexes derived from their state (the
+        adaptive policy's shadow-membership masks, LFU's victim heaps)
+        and update them from the event stream. Anything that writes
+        state outside that stream must call this afterwards: the
+        columnar kernel, a shadow-tag fault flip, ``load_state_dict``.
+        The indexes are rebuilt on the next ``victim()``. Default:
+        no-op.
         """
 
     def state_dict(self) -> dict:

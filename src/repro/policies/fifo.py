@@ -60,18 +60,16 @@ class FIFOPolicy(ReplacementPolicy):
         prv[way] = -1
 
     def victim(self, set_index: int, set_view: SetView) -> int:
+        # The list links exactly the valid ways, oldest fill first; a
+        # view hiding the head (a shard protecting the entry just
+        # written) gets the next one.
         nxt = self._nxt[set_index]
-        head = nxt[self.ways]
-        if set_view.valid_count() == self.ways:
-            return head
-        allowed = set(set_view.valid_ways())
-        way = head
-        sentinel = self.ways
-        while way != sentinel:
-            if way in allowed:
-                return way
+        way = nxt[self.ways]
+        if way == set_view.hidden_way():
             way = nxt[way]
-        raise ValueError("victim() called on a view with no valid ways")
+        if way == self.ways:
+            raise ValueError("victim() called on a view with no valid ways")
+        return way
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the per-set fill-order lists."""

@@ -71,21 +71,16 @@ class LRUPolicy(ReplacementPolicy):
         prv[way] = -1
 
     def victim(self, set_index: int, set_view: SetView) -> int:
+        # The list links exactly the valid ways, so its head is the
+        # LRU-most one; a view hiding that way (a shard protecting the
+        # entry just written) gets the next-oldest.
         nxt = self._nxt[set_index]
-        head = nxt[self.ways]
-        if set_view.valid_count() == self.ways:
-            # Full set (the cache's guarantee): the LRU-most way.
-            return head
-        # Restricted view (e.g. a shard protecting the entry just
-        # written): oldest linked way the view still exposes.
-        allowed = set(set_view.valid_ways())
-        way = head
-        sentinel = self.ways
-        while way != sentinel:
-            if way in allowed:
-                return way
+        way = nxt[self.ways]
+        if way == set_view.hidden_way():
             way = nxt[way]
-        raise ValueError("victim() called on a view with no valid ways")
+        if way == self.ways:
+            raise ValueError("victim() called on a view with no valid ways")
+        return way
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the per-set recency lists."""

@@ -12,6 +12,7 @@ from repro.utils.bitops import (
     mask,
     low_bits,
     xor_fold,
+    xor_folder,
 )
 from repro.utils.rng import DeterministicRNG
 
@@ -24,5 +25,6 @@ __all__ = [
     "mask",
     "low_bits",
     "xor_fold",
+    "xor_folder",
     "DeterministicRNG",
 ]

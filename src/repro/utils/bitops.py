@@ -7,6 +7,8 @@ down to a partial tag (Section 3.1 of the paper).
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 def is_power_of_two(value: int) -> bool:
     """Return True if ``value`` is a positive power of two."""
@@ -63,3 +65,37 @@ def xor_fold(value: int, bits: int, width: int = 64) -> int:
         folded ^= remaining & mask(bits)
         remaining >>= bits
     return folded
+
+
+def xor_folder(bits: int, width: int = 64) -> Callable[[int], int]:
+    """A precomputed :func:`xor_fold` for one ``(bits, width)`` pair.
+
+    Returns a callable equal to ``lambda v: xor_fold(v, bits, width)``
+    for every non-negative ``v``, but folding by halving instead of one
+    group at a time: with ``g`` groups left, XOR the upper half of them
+    onto the lower half in one shift. Sixteen of 64 bits is then
+    ``v ^= v >> 32; v ^= v >> 16; v & 0xFFFF``. A step that leaves an
+    odd number of groups masks off the upper ones, which would
+    otherwise fold back in on the next step.
+    """
+    if bits <= 0:
+        raise ValueError(f"partial tag width must be positive, got {bits}")
+    steps = []
+    groups = -(-width // bits)
+    while groups > 1:
+        groups = (groups + 1) // 2
+        keep = mask(groups * bits) if groups > 1 and groups % 2 else 0
+        steps.append((groups * bits, keep))
+    steps = tuple(steps)
+    width_mask = mask(width)
+    final = mask(bits)
+
+    def fold(value: int) -> int:
+        value &= width_mask
+        for shift, keep in steps:
+            value ^= value >> shift
+            if keep:
+                value &= keep
+        return value & final
+
+    return fold

@@ -89,8 +89,10 @@ class TestRunPerf:
         assert on_disk["quick"] is True
         assert on_disk["machine"]["cpu_count"] >= 1
         assert set(on_disk["hotpath"]) == {"lru", "fifo", "adaptive"}
+        assert set(on_disk["online"]["by_capacity"]) == {"64", "4096"}
         rendered = render_perf(report)
         assert "hot path" in rendered
+        assert "lru/adaptive" in rendered
         assert "workers=1" in rendered
 
 
@@ -127,25 +129,90 @@ class TestRegressionGate:
             assert set(floors) == {"access_per_sec", "access_many_per_sec"}
             assert all(v > 0 for v in floors.values())
 
-    def test_main_passes_on_generous_floors(self, tmp_path, capsys):
+    def test_main_passes_on_generous_floors(self, tmp_path, capsys,
+                                            monkeypatch):
+        import repro.perf.bench as bench_mod
+
+        # The online lane runs for real, on a shorter stream.
+        monkeypatch.setattr(bench_mod, "ONLINE_OPS", 2000)
         gate = load_gate()
         easy = tmp_path / "floors.json"
         easy.write_text(json.dumps(
             {"regression_margin": 0.15,
+             "online": {"max_ratio_growth": 1000.0},
              "floors": {"lru": {"access_per_sec": 1}}}
         ))
         out = tmp_path / "measured.json"
         code = gate.main(["--quick", "--baselines", str(easy),
                           "--json-out", str(out)])
         assert code == 0
-        assert "all floors cleared" in capsys.readouterr().out
-        assert "lru" in json.loads(out.read_text())
+        captured = capsys.readouterr().out
+        assert "all floors cleared" in captured
+        assert "lru/adaptive" in captured
+        measured = json.loads(out.read_text())
+        assert "lru" in measured
+        assert set(measured["online"]["by_capacity"]) == {"64", "4096"}
 
-    def test_main_fails_on_impossible_floors(self, tmp_path, capsys):
+    def test_main_fails_on_capacity_cliff(self, tmp_path, capsys,
+                                          monkeypatch):
+        gate = load_gate()
+        cliff = {"ops": 1, "by_capacity": {
+            capacity: {"lru": {"ops_per_s": ratio},
+                       "adaptive": {"ops_per_s": 1.0},
+                       "lru_over_adaptive": ratio}
+            for capacity, ratio in (("64", 4.9), ("4096", 23.5))
+        }}
+        monkeypatch.setattr(gate, "bench_online", lambda: cliff)
+        easy = tmp_path / "floors.json"
+        easy.write_text(json.dumps(
+            {"online": {"max_ratio_growth": 1.5},
+             "floors": {"lru": {"access_per_sec": 1}}}
+        ))
+        code = gate.main(["--quick", "--baselines", str(easy)])
+        assert code == 1
+        assert "capacity 4096" in capsys.readouterr().err
+
+    def test_main_needs_the_online_gate(self, tmp_path, monkeypatch):
+        gate = load_gate()
+        monkeypatch.setattr(gate, "bench_online", lambda: {
+            "ops": 1, "by_capacity": {},
+        })
+        no_gate = tmp_path / "floors.json"
+        no_gate.write_text(json.dumps(
+            {"floors": {"lru": {"access_per_sec": 1}}}
+        ))
+        with pytest.raises(KeyError, match="online"):
+            gate.main(["--quick", "--baselines", str(no_gate)])
+
+    def test_online_gate_passes_flat_ratio(self):
+        gate = load_gate()
+        baselines = {"online": {"max_ratio_growth": 1.5}}
+        online = {"by_capacity": {"64": {"lru_over_adaptive": 3.0},
+                                  "4096": {"lru_over_adaptive": 4.4}}}
+        assert gate.check_online(online, baselines) == []
+
+    def test_online_gate_catches_capacity_cliff(self):
+        gate = load_gate()
+        baselines = {"online": {"max_ratio_growth": 1.5}}
+        online = {"by_capacity": {"64": {"lru_over_adaptive": 4.9},
+                                  "4096": {"lru_over_adaptive": 23.5}}}
+        (violation,) = gate.check_online(online, baselines)
+        assert "capacity 4096" in violation
+
+    def test_pinned_online_gate(self):
+        baselines = load_gate().load_baselines()
+        assert 1.0 < baselines["online"]["max_ratio_growth"] <= 2.0
+
+    def test_main_fails_on_impossible_floors(self, tmp_path, capsys,
+                                             monkeypatch):
+        import repro.perf.bench as bench_mod
+
+        monkeypatch.setattr(bench_mod, "ONLINE_OPS", 2000)
         gate = load_gate()
         hard = tmp_path / "floors.json"
         hard.write_text(json.dumps(
             {"regression_margin": 0.0,
+             "online": {"max_ratio_growth": 1000.0},
              "floors": {"lru": {"access_per_sec": 10 ** 12}}}
         ))
         code = gate.main(["--quick", "--baselines", str(hard)])

@@ -1,8 +1,16 @@
 """Unit tests for repro.utils.bitops."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.utils.bitops import ilog2, is_power_of_two, low_bits, mask, xor_fold
+from repro.utils.bitops import (
+    ilog2,
+    is_power_of_two,
+    low_bits,
+    mask,
+    xor_fold,
+    xor_folder,
+)
 
 
 class TestIsPowerOfTwo:
@@ -74,3 +82,27 @@ class TestXorFold:
         b = 0x2_0000_0001
         assert low_bits(a, 8) == low_bits(b, 8)
         assert xor_fold(a, 8) != xor_fold(b, 8)
+
+
+class TestXorFolder:
+    @given(value=st.integers(min_value=0, max_value=(1 << 64) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_xor_fold_at_every_width(self, value):
+        for bits in range(1, 65):
+            assert xor_folder(bits)(value) == xor_fold(value, bits, 64), bits
+
+    @given(value=st.integers(min_value=0, max_value=(1 << 80) - 1),
+           width=st.integers(min_value=1, max_value=64),
+           bits=st.integers(min_value=1, max_value=70))
+    def test_equals_xor_fold_for_any_width_and_wide_input(
+        self, value, width, bits
+    ):
+        assert xor_folder(bits, width)(value) == xor_fold(value, bits, width)
+
+    def test_sixteen_of_sixty_four(self):
+        value = 0x1111_2222_4444_8888
+        assert xor_folder(16)(value) == 0x1111 ^ 0x2222 ^ 0x4444 ^ 0x8888
+
+    def test_rejects_non_positive_width(self):
+        with pytest.raises(ValueError):
+            xor_folder(0)

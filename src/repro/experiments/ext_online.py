@@ -247,7 +247,7 @@ def persistent_replay(
             # would be served stale or refused *without logging*, so
             # step replay until its shard is promoted — exact stream
             # order, every access applied and logged.
-            while not cache.key_serving(key):
+            while not cache.shard_serving(cache.shard_index(key)):
                 cache.step()
             cache.get_or_compute(key, lambda k: k)
         cache.finish()  # drain any replay the stream did not force

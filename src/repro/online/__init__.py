@@ -14,7 +14,8 @@ KV-block caches in serving stacks:
   per-shard selector) and sampled (leader shards + global selector)
   shard policies.
 * :mod:`repro.online.engine` — :class:`AdaptiveKVCache`: get/put/
-  delete/get_or_compute, TTL, entry- and byte-capacity, stats.
+  delete/get_or_compute, TTL, entry- and byte-capacity, stats; and
+  :class:`ShardedStore`, the surface it shares with the wrappers below.
 * :mod:`repro.online.bound` — the Appendix's 2x miss bound checked on
   the engine (shards standing in for sets).
 * :mod:`repro.online.persistence` — crash-safe durability: periodic
@@ -33,7 +34,12 @@ See docs/online.md for the design and its mapping to the paper.
 """
 
 from repro.online.bound import check_online_miss_bound
-from repro.online.engine import MODES, AdaptiveKVCache, default_sizeof
+from repro.online.engine import (
+    MODES,
+    AdaptiveKVCache,
+    ShardedStore,
+    default_sizeof,
+)
 from repro.online.liverecovery import (
     LiveRecoveringKVCache,
     LiveRecoveryStats,
@@ -48,9 +54,7 @@ from repro.online.persistence import (
     kv_stats_digest,
     load_snapshot_engine,
     read_snapshot,
-    read_wal,
     recover,
-    replay_into,
     write_snapshot,
 )
 from repro.online.resilience import (
@@ -76,6 +80,7 @@ from repro.online.stats import KVCacheStats
 
 __all__ = [
     "AdaptiveKVCache",
+    "ShardedStore",
     "MODES",
     "default_sizeof",
     "CacheShard",
@@ -96,9 +101,7 @@ __all__ = [
     "kv_stats_digest",
     "load_snapshot_engine",
     "read_snapshot",
-    "read_wal",
     "recover",
-    "replay_into",
     "write_snapshot",
     "LiveRecoveringKVCache",
     "LiveRecoveryStats",

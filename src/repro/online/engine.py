@@ -12,6 +12,10 @@ Capacity is expressed in entries, optionally also in bytes; entries may
 carry TTLs. ``stats()`` returns one merged
 :class:`~repro.online.stats.KVCacheStats` snapshot.
 
+:class:`ShardedStore` declares the surface the engine shares with the
+wrappers stacked on it (persistence, live recovery), so the resilient
+layer on top reaches any of them the same way.
+
 Example::
 
     cache = AdaptiveKVCache(capacity_entries=4096, num_shards=8)
@@ -24,7 +28,7 @@ Example::
 from __future__ import annotations
 
 import sys
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.core.sbar import spread_leader_sets
 from repro.core.selector import GlobalSelector
@@ -51,6 +55,52 @@ def default_sizeof(value) -> int:
     ``sizeof``) when deep accounting matters.
     """
     return sys.getsizeof(value)
+
+
+@runtime_checkable
+class ShardedStore(Protocol):
+    """The store surface of the online serving chain.
+
+    :class:`AdaptiveKVCache`,
+    :class:`~repro.online.persistence.PersistentKVCache` and
+    :class:`~repro.online.liverecovery.LiveRecoveringKVCache` all answer
+    it; :class:`~repro.online.resilience.ResilientKVCache` reaches the
+    store below it through these members only. A wrapper forwards the
+    shard members to its engine and changes what it must: persistence
+    makes ``rebuild_shard`` durable, live recovery answers
+    ``shard_serving`` False for shards still replaying their WAL. A
+    shard that serves never stops serving. A store whose
+    ``shard_serving`` can be False also provides
+    ``recovering_read(key)``, the honest read for those shards.
+    """
+
+    num_shards: int
+    shards: List[CacheShard]
+
+    def shard_index(self, key) -> int:
+        """Index of the shard responsible for ``key``."""
+
+    def shard_serving(self, index: int) -> bool:
+        """Whether shard ``index`` serves normally."""
+
+    def rebuild_shard(self, index: int, shard_state: Optional[dict] = None):
+        """Replace shard ``index`` with a fresh (or restored) one."""
+
+    def get(self, key, default=None):
+        """Value under ``key``, or ``default``."""
+
+    def put(self, key, value, ttl=None, size=None) -> None:
+        """Store ``value`` under ``key``."""
+
+    def delete(self, key) -> bool:
+        """Remove ``key``; True if it was resident."""
+
+    def stats(self) -> KVCacheStats:
+        """Merged counter snapshot."""
+
+    def __contains__(self, key) -> bool: ...
+
+    def __len__(self) -> int: ...
 
 
 class AdaptiveKVCache:
@@ -228,6 +278,14 @@ class AdaptiveKVCache:
     # The serving API
     # ------------------------------------------------------------------
 
+    def shard_index(self, key) -> int:
+        """Index of the shard responsible for ``key``."""
+        return shard_of(key_fingerprint(key), self.num_shards)
+
+    def shard_serving(self, index: int) -> bool:
+        """Always True: an engine's shards serve as soon as built."""
+        return True
+
     def _shard_for(self, key) -> CacheShard:
         """The shard responsible for ``key``."""
         return self.shards[shard_of(key_fingerprint(key), self.num_shards)]
@@ -246,14 +304,12 @@ class AdaptiveKVCache:
         back in the original key order, ``default`` for misses.
         """
         keys = list(keys)
-        num_shards = self.num_shards
         groups: dict = {}
         for position, key in enumerate(keys):
-            shard_index = shard_of(key_fingerprint(key), num_shards)
-            groups.setdefault(shard_index, []).append(position)
+            groups.setdefault(self.shard_index(key), []).append(position)
         out = [default] * len(keys)
-        for shard_index, positions in groups.items():
-            values = self.shards[shard_index].get_many(
+        for index, positions in groups.items():
+            values = self.shards[index].get_many(
                 [keys[p] for p in positions], default
             )
             for position, value in zip(positions, values):

@@ -47,10 +47,13 @@ While a shard is still replaying:
   replaying the original intact prefix followed by the accepted live
   ops — the reference order — so acked writes survive.
 
-Once every cursor drains and all pending writes are applied the
-wrapper *is* a :class:`~repro.online.persistence.PersistentKVCache`
-(it subclasses it): automatic snapshot rotation re-arms and the
-serving API falls through to the plain logged paths.
+The class subclasses :class:`~repro.online.persistence.PersistentKVCache`
+and overrides only its lock-held logged bodies, each with one branch
+for a key on a replaying shard; a key on a ready shard runs the
+persistence layer's body unchanged. Once every cursor drains and all
+pending writes are applied the wrapper behaves exactly as a
+``PersistentKVCache``: automatic snapshot rotation re-arms and every
+key takes the plain logged path.
 
 TTL caveat: replay applies records at recovery time, as any recovery
 (including stop-the-world at a later wall clock) does; with per-entry
@@ -62,15 +65,12 @@ matters.
 from __future__ import annotations
 
 import os
-import pickle
-import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
-from repro.online.keyspace import key_fingerprint, shard_of
 from repro.online.persistence import (
-    _RECORD_HEADER,
     PersistentKVCache,
+    _read_frame,
     _wal_name,
     apply_wal_record,
     iter_wal,
@@ -79,6 +79,8 @@ from repro.online.persistence import (
 
 #: Pending-view marker for a deferred delete.
 _TOMBSTONE = object()
+#: Default marking a recovering read that must raise, not fall back.
+_REFUSE = object()
 
 
 class RecoveryInProgress(RuntimeError):
@@ -109,7 +111,8 @@ class LiveRecoveryStats:
     #: Reads answered from pending writes or a stale peek of a
     #: partially replayed shard.
     stale_serves: int = 0
-    #: Reads refused because nothing trustworthy was available.
+    #: Reads refused because nothing trustworthy was available (a
+    #: deferred delete included).
     refused_reads: int = 0
 
 
@@ -170,13 +173,12 @@ class LiveRecoveringKVCache(PersistentKVCache):
 
         # One streaming pass over the WAL chain builds a positional
         # index — (generation, start offset, shard) per work item, ints
-        # only, never the decoded records — and the per-generation
-        # intact lengths. Records are re-read lazily during replay.
+        # only, never the decoded records. Records are re-read lazily
+        # during replay.
         items: List[Tuple[int, int, Optional[int]]] = []
         per_shard: List[List[Tuple[int, int, Optional[int]]]] = [
             [] for _ in range(num_shards)
         ]
-        self._wal_bounds: Dict[int, int] = {}
         for generation in range(loaded_gen, latest + 1):
             path = os.path.join(directory, _wal_name(generation))
             start = 0
@@ -184,10 +186,9 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 if self._global_order:
                     items.append((generation, start, None))
                 else:
-                    for index in _record_shards(record, num_shards):
+                    for index in _record_shards(record, cache.shard_index):
                         per_shard[index].append((generation, start, index))
                 start = end
-            self._wal_bounds[generation] = start
         if not self._global_order:
             # Shard-major order: shard 0 drains (and starts serving)
             # first, then shard 1, ... — progressive readiness.
@@ -197,30 +198,26 @@ class LiveRecoveringKVCache(PersistentKVCache):
         self._cursor = 0
         self._shard_remaining = [len(queue) for queue in per_shard]
         self._serving = [False] * num_shards
-        self._pending_ops: List[List[tuple]] = [[] for _ in range(num_shards)]
-        # Sampled mode promotes all shards at once, and deferred ops
-        # must then apply in global acceptance order — per-shard
-        # grouping would reorder leader votes into the global selector.
-        self._pending_global: List[tuple] = []
+        # Deferred writes as (shard, op) in acceptance order. Promoted
+        # shards apply theirs in that order — in sampled mode all shards
+        # at once, so leader votes reach the global selector in the
+        # order a post-crash replay would cast them.
+        self._pending: List[Tuple[int, tuple]] = []
         self._pending_view: List[dict] = [{} for _ in range(num_shards)]
         self._readers: Dict[int, BinaryIO] = {}
         self.recovery = LiveRecoveryStats(total_records=len(items))
 
-        newest = os.path.join(directory, _wal_name(latest))
-        offset = self._wal_bounds.get(latest, 0)
-        if not os.path.exists(newest):
-            open(newest, "ab").close()
-            offset = 0
-        # The superclass truncates the newest WAL's torn tail and
-        # positions the append handle at the intact end: accepted live
-        # ops dual-log right after the prefix replay reads from.
+        # ``start`` is now the intact length of the newest WAL. The
+        # superclass truncates its torn tail and appends at the intact
+        # end: accepted live ops dual-log right after the prefix replay
+        # reads from.
         super().__init__(
             cache,
             directory,
             snapshot_every=None,
             wal_flush_ops=wal_flush_ops,
             _generation=latest,
-            _wal_offset=offset,
+            _wal_offset=start,
         )
         with self._lock:
             self._promote_locked()
@@ -234,44 +231,13 @@ class LiveRecoveringKVCache(PersistentKVCache):
         """Whether WAL replay is still in progress."""
         return self._recovering
 
-    @property
-    def recovery_complete(self) -> bool:
-        """Whether the engine state equals stop-the-world recovery's."""
-        return not self._recovering
-
-    def shard_serving(self, index: int) -> bool:
-        """Whether ``index``'s shard serves normally (replay drained)."""
-        if not self._recovering:
-            return True
-        return self._serving[index]
-
-    def key_serving(self, key) -> bool:
-        """Whether ``key``'s shard serves normally (replay drained).
-
-        While this is False, an access for ``key`` takes the honest
-        recovering path — stale-marked or refused, and *not logged*.
-        A caller that needs every access applied and logged (e.g. a
-        resumed deterministic stream) should :meth:`step` until this
-        turns True before issuing the access.
-        """
-        if not self._recovering:
-            return True
-        return self._serving[self._shard_index(key)]
-
     def serving_fraction(self) -> float:
         """Fraction of shards serving normally, 0.0..1.0."""
-        if not self._recovering:
-            return 1.0
         return sum(self._serving) / len(self._serving)
 
     def pending_writes(self) -> int:
         """Accepted writes still queued for replaying shards."""
-        with self._lock:
-            return self._pending_count_locked()
-
-    def _pending_count_locked(self) -> int:
-        return (len(self._pending_global)
-                + sum(len(queue) for queue in self._pending_ops))
+        return len(self._pending)
 
     def replay_progress(self) -> dict:
         """Snapshot of the recovery's progress and honesty counters."""
@@ -281,12 +247,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 "total_records": self.recovery.total_records,
                 "applied_records": self.recovery.applied_records,
                 "num_shards": self.cache.num_shards,
-                "serving_shards": (
-                    self.cache.num_shards
-                    if not self._recovering
-                    else sum(self._serving)
-                ),
-                "pending_writes": self._pending_count_locked(),
+                "serving_shards": sum(self._serving),
+                "pending_writes": len(self._pending),
                 "deferred_writes": self.recovery.deferred_writes,
                 "stale_serves": self.recovery.stale_serves,
                 "refused_reads": self.recovery.refused_reads,
@@ -328,102 +290,35 @@ class LiveRecoveringKVCache(PersistentKVCache):
         super().close()
 
     # ------------------------------------------------------------------
-    # Serving API: gate on per-shard readiness while recovering
+    # Store surface and serving: only the replaying-shard branch
     # ------------------------------------------------------------------
 
-    def get(self, key, default=None):
-        """Logged get; honest recovering read on a replaying shard."""
-        with self._lock:
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    return self._recovering_get_locked(index, key, default)
-            self._log(("get", key))
-            return self.cache.get(key, default)
+    def shard_serving(self, index: int) -> bool:
+        """Whether ``index``'s shard serves normally (replay drained).
 
-    def get_many(self, keys, default=None) -> list:
-        """Logged batched get; splits per key while recovering."""
-        keys = list(keys)
-        with self._lock:
-            if self._recovering:
-                num_shards = self.cache.num_shards
-                indices = [
-                    shard_of(key_fingerprint(key), num_shards)
-                    for key in keys
-                ]
-                if any(not self._serving[index] for index in indices):
-                    out = []
-                    for key, index in zip(keys, indices):
-                        if self._serving[index]:
-                            self._log(("get", key))
-                            out.append(self.cache.get(key, default))
-                        else:
-                            out.append(
-                                self._recovering_get_locked(
-                                    index, key, default
-                                )
-                            )
-                    return out
-            self._log(("gmany", keys))
-            return self.cache.get_many(keys, default)
-
-    def put(self, key, value, ttl=None, size=None) -> None:
-        """Logged put; dual-logged and deferred on a replaying shard."""
-        with self._lock:
-            op = ("put", key, value, ttl, size)
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    self._log(op)
-                    self._defer_locked(index, op)
-                    self._pending_view[index][key] = value
-                    self.recovery.deferred_writes += 1
-                    return
-            self._log(op)
-            self.cache.put(key, value, ttl=ttl, size=size)
-
-    def get_or_compute(self, key, compute, ttl=None):
-        """Logged get-or-compute; never computes into a replaying shard.
-
-        On a replaying shard this serves a pending write or a stale
-        peek, else raises :class:`RecoveryInProgress` — running the
-        loader would fill a shard whose replay has not reached the
-        fill's position, breaking identity with the reference.
+        While this is False, an access to the shard takes the honest
+        recovering path — stale-marked or refused, and *not logged*.
+        A caller that needs every access applied and logged (e.g. a
+        resumed deterministic stream) should :meth:`step` until this
+        turns True before issuing the access.
         """
-        with self._lock:
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    return self._recovering_read_locked(index, key)
-            computed = []
+        return self._serving[index]
 
-            def logging_compute(k):
-                value = compute(k)
-                computed.append(value)
-                return value
+    def rebuild_shard(self, index: int, shard_state: Optional[dict] = None):
+        """Durable shard rebuild, refused while the WAL replays.
 
-            result = self.cache.get_or_compute(key, logging_compute, ttl=ttl)
-            if computed:
-                self._log(("goc_fill", key, computed[0], ttl), applied=True)
-            else:
-                self._log(("get", key), applied=True)
-            return result
+        The rebuild is made durable by a snapshot rotation, and a
+        snapshot of a half-replayed engine would orphan the unreplayed
+        suffix — the reason rotation is held off during replay.
 
-    def delete(self, key) -> bool:
-        """Logged delete; deferred (returns False) on a replaying shard."""
-        with self._lock:
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    op = ("del", key)
-                    self._log(op)
-                    self._defer_locked(index, op)
-                    self._pending_view[index][key] = _TOMBSTONE
-                    self.recovery.deferred_writes += 1
-                    # Residency at apply time is unknowable mid-replay.
-                    return False
-            self._log(("del", key))
-            return self.cache.delete(key)
+        Raises:
+            RecoveryInProgress: replay has not finished.
+        """
+        if self._recovering:
+            raise RecoveryInProgress(
+                f"cannot rebuild shard {index} while the WAL replays"
+            )
+        return super().rebuild_shard(index, shard_state)
 
     def recovering_read(self, key):
         """Value for ``key`` by the recovering rules, however degraded.
@@ -433,63 +328,94 @@ class LiveRecoveringKVCache(PersistentKVCache):
         :class:`RecoveryInProgress`. Raises no policy events and logs
         nothing.
         """
+        index = self.cache.shard_index(key)
         with self._lock:
-            index = self._shard_index(key)
             return self._recovering_read_locked(index, key)
 
     def __contains__(self, key) -> bool:
         """Residency probe; consults pending writes while recovering."""
         if self._recovering:
             with self._lock:
-                index = self._shard_index(key)
-                if not self._serving[index]:
+                index = self._replaying(key)
+                if index is not None:
                     view = self._pending_view[index]
                     if key in view:
                         return view[key] is not _TOMBSTONE
         return key in self.cache
 
     # ------------------------------------------------------------------
-    # Internals (caller holds the wrapper lock)
+    # Logged bodies (caller holds the wrapper lock): a key on a ready
+    # shard runs the persistence layer's body unchanged
     # ------------------------------------------------------------------
 
-    def _shard_index(self, key) -> int:
-        return shard_of(key_fingerprint(key), self.cache.num_shards)
+    def _replaying(self, key) -> Optional[int]:
+        """``key``'s shard index while that shard replays, else None."""
+        if not self._recovering:
+            return None
+        index = self.cache.shard_index(key)
+        return None if self._serving[index] else index
 
-    def _defer_locked(self, index: int, op: tuple) -> None:
-        if self._global_order:
-            self._pending_global.append(op)
-        else:
-            self._pending_ops[index].append(op)
+    def _get_locked(self, key, default):
+        index = self._replaying(key)
+        if index is None:
+            return super()._get_locked(key, default)
+        return self._recovering_read_locked(index, key, default)
 
-    def _recovering_get_locked(self, index: int, key, default):
+    def _get_many_locked(self, keys: list, default) -> list:
+        if self._recovering and any(
+            self._replaying(key) is not None for key in keys
+        ):
+            # Split per key: ready shards log a plain get each.
+            return [self._get_locked(key, default) for key in keys]
+        return super()._get_many_locked(keys, default)
+
+    def _get_or_compute_locked(self, key, compute, ttl):
+        # Never compute into a replaying shard: the fill would land
+        # before replay reaches its position, breaking identity with
+        # the reference.
+        index = self._replaying(key)
+        if index is None:
+            return super()._get_or_compute_locked(key, compute, ttl)
+        return self._recovering_read_locked(index, key)
+
+    def _log_write_locked(self, op: tuple) -> bool:
+        # A write to a replaying shard is logged now (durable before it
+        # is acknowledged) and applied when the shard's cursor drains.
+        index = self._replaying(op[1])
+        if index is None:
+            return super()._log_write_locked(op)
+        self._log(op)
+        self._pending.append((index, op))
+        self._pending_view[index][op[1]] = (
+            op[2] if op[0] == "put" else _TOMBSTONE
+        )
+        self.recovery.deferred_writes += 1
+        # Not applied now; a deferred delete also reports False, since
+        # residency at apply time is unknowable.
+        return False
+
+    def _recovering_read_locked(self, index: int, key, default=_REFUSE):
+        """Pending write, else stale peek of the partial shard.
+
+        Counts a stale serve when either answers; otherwise — a
+        deferred delete included — counts a refusal and returns
+        ``default``, or raises :class:`RecoveryInProgress` without one.
+        """
         view = self._pending_view[index]
         if key in view:
             value = view[key]
-            self.recovery.stale_serves += 1
-            return default if value is _TOMBSTONE else value
-        found, value = self.cache.shards[index].peek_stale(key)
+            found = value is not _TOMBSTONE
+        else:
+            found, value = self.cache.shards[index].peek_stale(key)
         if found:
             self.recovery.stale_serves += 1
             return value
         self.recovery.refused_reads += 1
+        if default is _REFUSE:
+            raise RecoveryInProgress(
+                f"shard {index} is still replaying its WAL prefix"
+            )
         return default
-
-    def _recovering_read_locked(self, index: int, key):
-        view = self._pending_view[index]
-        if key in view:
-            value = view[key]
-            if value is not _TOMBSTONE:
-                self.recovery.stale_serves += 1
-                return value
-        else:
-            found, value = self.cache.shards[index].peek_stale(key)
-            if found:
-                self.recovery.stale_serves += 1
-                return value
-        self.recovery.refused_reads += 1
-        raise RecoveryInProgress(
-            f"shard {index} is still replaying its WAL prefix"
-        )
 
     def _apply_item_locked(
         self, record: tuple, shard: Optional[int]
@@ -498,44 +424,36 @@ class LiveRecoveringKVCache(PersistentKVCache):
             # Per-shard replay of a batched get: apply only this
             # shard's key subset — the engine groups by shard anyway,
             # so the shard sees exactly the events of the full batch.
-            num_shards = self.cache.num_shards
+            shard_index = self.cache.shard_index
             self.cache.get_many(
-                [
-                    key
-                    for key in record[1]
-                    if shard_of(key_fingerprint(key), num_shards) == shard
-                ]
+                [key for key in record[1] if shard_index(key) == shard]
             )
         else:
             apply_wal_record(self.cache, record)
 
     def _promote_locked(self) -> None:
         done = self._cursor >= len(self._items)
-        if self._global_order:
-            if not done:
-                return
-            # All shards promote together; deferred ops apply in global
-            # acceptance order (= their WAL order), keeping the leader
-            # vote sequence identical to a post-crash replay.
-            for op in self._pending_global:
-                apply_wal_record(self.cache, op)
-            self._pending_global = []
-            for index in range(self.cache.num_shards):
+        ready = {
+            index
+            for index in range(self.cache.num_shards)
+            if not self._serving[index]
+            and (done if self._global_order
+                 else self._shard_remaining[index] == 0)
+        }
+        if ready:
+            # Apply the ready shards' acked-but-deferred writes in
+            # acceptance order; they were logged at accept time, so a
+            # later crash replays them in exactly this position.
+            waiting = []
+            for index, op in self._pending:
+                if index in ready:
+                    apply_wal_record(self.cache, op)
+                else:
+                    waiting.append((index, op))
+            self._pending = waiting
+            for index in ready:
                 self._pending_view[index] = {}
                 self._serving[index] = True
-            self._complete_locked()
-            return
-        for index in range(self.cache.num_shards):
-            if self._serving[index] or self._shard_remaining[index] != 0:
-                continue
-            # Apply the shard's acked-but-deferred writes in acceptance
-            # order; they were logged at accept time, so a later crash
-            # replays them in exactly this position.
-            for op in self._pending_ops[index]:
-                apply_wal_record(self.cache, op)
-            self._pending_ops[index] = []
-            self._pending_view[index] = {}
-            self._serving[index] = True
         if done and all(self._serving):
             self._complete_locked()
 
@@ -559,33 +477,20 @@ class LiveRecoveringKVCache(PersistentKVCache):
             path = self._path(_wal_name(generation))
             reader = self._readers[generation] = open(path, "rb")
         reader.seek(start)
-        header = reader.read(_RECORD_HEADER)
-        crc = int.from_bytes(header[:4], "little")
-        length = int.from_bytes(header[4:8], "little")
-        payload = reader.read(length)
-        if len(payload) < length or zlib.crc32(payload) != crc:
+        frame = _read_frame(reader)
+        if frame is None:
             raise RuntimeError(
                 f"WAL record at generation {generation} offset {start} "
                 "changed underneath live recovery"
             )
-        return pickle.loads(payload)
+        return frame[0]
 
 
-def _record_shards(record: tuple, num_shards: int) -> List[int]:
+def _record_shards(record: tuple, shard_index: Callable) -> List[int]:
     """Shards a WAL record raises events on, in first-touch order."""
-    kind = record[0]
-    if kind == "gmany":
-        seen: List[int] = []
-        for key in record[1]:
-            index = shard_of(key_fingerprint(key), num_shards)
-            if index not in seen:
-                seen.append(index)
-        return seen
-    if kind in ("get", "del"):
-        return [shard_of(key_fingerprint(record[1]), num_shards)]
-    if kind in ("put", "goc_fill"):
-        return [shard_of(key_fingerprint(record[1]), num_shards)]
-    raise ValueError(f"unknown WAL record kind {kind!r}")
+    if record[0] == "gmany":
+        return list(dict.fromkeys(shard_index(key) for key in record[1]))
+    return [shard_index(record[1])]
 
 
 def live_recover(directory: str, **kwargs) -> LiveRecoveringKVCache:

@@ -36,7 +36,7 @@ import os
 import pickle
 import threading
 import zlib
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.online.engine import AdaptiveKVCache
 from repro.utils.atomicio import atomic_output, atomic_write_text
@@ -101,36 +101,35 @@ def iter_wal(
     with handle:
         offset = 0
         while True:
-            if end is not None and offset + _RECORD_HEADER > end:
+            frame = _read_frame(handle, None if end is None else end - offset)
+            if frame is None:
                 return
-            header = handle.read(_RECORD_HEADER)
-            if len(header) < _RECORD_HEADER:
-                return
-            crc = int.from_bytes(header[:4], "little")
-            length = int.from_bytes(header[4:8], "little")
-            record_end = offset + _RECORD_HEADER + length
-            if end is not None and record_end > end:
-                return
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return
-            offset = record_end
-            yield pickle.loads(payload), offset
+            record, length = frame
+            offset += length
+            yield record, offset
 
 
-def read_wal(path: str) -> Tuple[List[tuple], int]:
-    """Decode a whole WAL file into memory (thin :func:`iter_wal` wrap).
+def _read_frame(handle, room: Optional[int] = None
+               ) -> Optional[Tuple[tuple, int]]:
+    """Decode the WAL frame at ``handle``'s position.
 
-    Returns:
-        ``(records, good_length)`` — the operations up to the first
-        framing violation, and the byte offset where the intact prefix
-        ends. Prefer :func:`iter_wal` when the log may be long.
+    Returns ``(record, frame_length)``, or None at a truncated header,
+    a short payload, a CRC mismatch, or a frame longer than ``room``
+    bytes.
     """
-    records: List[tuple] = []
-    offset = 0
-    for record, offset in iter_wal(path):
-        records.append(record)
-    return records, offset
+    if room is not None and room < _RECORD_HEADER:
+        return None
+    header = handle.read(_RECORD_HEADER)
+    if len(header) < _RECORD_HEADER:
+        return None
+    crc = int.from_bytes(header[:4], "little")
+    size = int.from_bytes(header[4:8], "little")
+    if room is not None and _RECORD_HEADER + size > room:
+        return None
+    payload = handle.read(size)
+    if len(payload) < size or zlib.crc32(payload) != crc:
+        return None
+    return pickle.loads(payload), _RECORD_HEADER + size
 
 
 def write_snapshot(path: str, state: dict) -> None:
@@ -182,7 +181,11 @@ class PersistentKVCache:
     write-ahead log *before* it is applied, under one wrapper lock so
     the log order equals the apply order (which replay depends on).
     The engine's hot path is untouched — durability lives entirely in
-    this wrapper, and the WAL buffer amortises file writes.
+    this wrapper, and the WAL buffer amortises file writes. Each
+    serving method takes the lock and runs a lock-held logged body
+    (``_get_locked``, ``_get_many_locked``, ``_get_or_compute_locked``,
+    ``_log_write_locked``); a subclass changes serving by overriding a
+    body.
 
     Args:
         cache: the engine to persist; must be freshly constructed (or
@@ -219,6 +222,13 @@ class PersistentKVCache:
                 f"wal_flush_ops must be positive, got {wal_flush_ops}"
             )
         self.cache = cache
+        # The engine's shard members of the ShardedStore surface,
+        # aliased rather than forwarded: the shard list is only ever
+        # updated in place, and the resilient ladder reads these on
+        # every request.
+        self.num_shards = cache.num_shards
+        self.shards = cache.shards
+        self.shard_index = cache.shard_index
         self.directory = os.fspath(directory)
         self.snapshot_every = snapshot_every
         self.wal_flush_ops = wal_flush_ops
@@ -232,35 +242,32 @@ class PersistentKVCache:
             # Fresh cache: anchor the chain with a generation-0 snapshot
             # of the initial state so fallback recovery is uniform.
             self._write_snapshot_locked()
-            self._wal = open(self._path(_wal_name(self.generation)), "ab")
-        else:
-            wal_path = self._path(_wal_name(self.generation))
-            self._wal = open(wal_path, "r+b")
+        # Append mode creates the log if a crash landed before its
+        # first append; a resumed log drops its torn tail.
+        self._wal = open(self._path(_wal_name(self.generation)), "ab")
+        if _wal_offset is not None:
             self._wal.truncate(_wal_offset)
-            self._wal.seek(_wal_offset)
 
     # ------------------------------------------------------------------
-    # Serving API (mirrors AdaptiveKVCache)
+    # Serving API and store surface (mirror AdaptiveKVCache)
     # ------------------------------------------------------------------
 
     def get(self, key, default=None):
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.get`."""
         with self._lock:
-            self._log(("get", key))
-            return self.cache.get(key, default)
+            return self._get_locked(key, default)
 
     def get_many(self, keys, default=None) -> list:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.get_many`."""
         keys = list(keys)
         with self._lock:
-            self._log(("gmany", keys))
-            return self.cache.get_many(keys, default)
+            return self._get_many_locked(keys, default)
 
     def put(self, key, value, ttl=None, size=None) -> None:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.put`."""
         with self._lock:
-            self._log(("put", key, value, ttl, size))
-            self.cache.put(key, value, ttl=ttl, size=size)
+            if self._log_write_locked(("put", key, value, ttl, size)):
+                self.cache.put(key, value, ttl=ttl, size=size)
 
     def get_or_compute(self, key, compute, ttl=None):
         """Logged get-or-compute.
@@ -271,25 +278,13 @@ class PersistentKVCache:
         deterministic and spares the loader a thundering replay.
         """
         with self._lock:
-            computed = []
-
-            def logging_compute(k):
-                value = compute(k)
-                computed.append(value)
-                return value
-
-            result = self.cache.get_or_compute(key, logging_compute, ttl=ttl)
-            if computed:
-                self._log(("goc_fill", key, computed[0], ttl), applied=True)
-            else:
-                self._log(("get", key), applied=True)
-            return result
+            return self._get_or_compute_locked(key, compute, ttl)
 
     def delete(self, key) -> bool:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.delete`."""
         with self._lock:
-            self._log(("del", key))
-            return self.cache.delete(key)
+            applies_now = self._log_write_locked(("del", key))
+            return applies_now and self.cache.delete(key)
 
     def __contains__(self, key) -> bool:
         """Residency probe (no policy events, nothing logged)."""
@@ -302,6 +297,23 @@ class PersistentKVCache:
     def stats(self):
         """The engine's merged counter snapshot."""
         return self.cache.stats()
+
+    def shard_serving(self, index: int) -> bool:
+        """Always True: every shard of a persistent cache serves."""
+        return True
+
+    def rebuild_shard(self, index: int, shard_state: Optional[dict] = None):
+        """Durable :meth:`~repro.online.engine.AdaptiveKVCache.rebuild_shard`.
+
+        No WAL record describes a shard swap, so replaying the chain
+        from before it would bring back every entry the swap dropped.
+        The swap therefore runs under the wrapper lock and is followed
+        by a snapshot rotation: the chain restarts at the rebuilt state.
+        """
+        with self._lock:
+            shard = self.cache.rebuild_shard(index, shard_state)
+            self._rotate_locked()
+            return shard
 
     # ------------------------------------------------------------------
     # Durability controls
@@ -333,6 +345,34 @@ class PersistentKVCache:
     # ------------------------------------------------------------------
     # Internals (caller holds the wrapper lock)
     # ------------------------------------------------------------------
+
+    def _get_locked(self, key, default):
+        self._log(("get", key))
+        return self.cache.get(key, default)
+
+    def _get_many_locked(self, keys: list, default) -> list:
+        self._log(("gmany", keys))
+        return self.cache.get_many(keys, default)
+
+    def _get_or_compute_locked(self, key, compute, ttl):
+        computed = []
+
+        def logging_compute(k):
+            value = compute(k)
+            computed.append(value)
+            return value
+
+        result = self.cache.get_or_compute(key, logging_compute, ttl=ttl)
+        if computed:
+            self._log(("goc_fill", key, computed[0], ttl), applied=True)
+        else:
+            self._log(("get", key), applied=True)
+        return result
+
+    def _log_write_locked(self, op: tuple) -> bool:
+        """Log a ``put`` or ``del`` record; True when it applies now."""
+        self._log(op)
+        return True
 
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
@@ -444,17 +484,6 @@ def apply_wal_record(cache: AdaptiveKVCache, record: tuple) -> None:
         raise ValueError(f"unknown WAL record kind {kind!r}")
 
 
-def replay_into(cache: AdaptiveKVCache, records: Iterable[tuple]) -> None:
-    """Apply decoded WAL records to an engine, in order.
-
-    ``records`` may be any iterable — in particular a lazily decoded
-    stream of ``record`` fields from :func:`iter_wal` — so replay never
-    requires the whole log in memory.
-    """
-    for record in records:
-        apply_wal_record(cache, record)
-
-
 def load_snapshot_engine(
     directory: str,
     sizeof: Optional[Callable] = None,
@@ -550,18 +579,12 @@ def recover(
         clock=clock,
     )
 
-    offset = 0
     for generation in range(loaded_gen, latest + 1):
         wal_path = os.path.join(directory, _wal_name(generation))
         offset = 0
         for record, offset in iter_wal(wal_path):
             apply_wal_record(cache, record)
-    # ``offset`` is now the intact length of the newest WAL; make sure
-    # that file exists even if the crash landed before its first append.
-    newest = os.path.join(directory, _wal_name(latest))
-    if not os.path.exists(newest):
-        open(newest, "ab").close()
-        offset = 0
+    # ``offset`` is now the intact length of the newest WAL.
     return PersistentKVCache(
         cache,
         directory,

@@ -1,9 +1,11 @@
 """Resilient serving on top of the online engine.
 
-:class:`ResilientKVCache` wraps a cache (an
-:class:`~repro.online.engine.AdaptiveKVCache` or its persistent
-wrapper) and hardens the ``get_or_compute`` path against flaky
-loaders, the classic serving ladder:
+:class:`ResilientKVCache` wraps any store of the online chain — an
+:class:`~repro.online.engine.AdaptiveKVCache` or a wrapper over one,
+reached only through the
+:class:`~repro.online.engine.ShardedStore` surface — and hardens the
+``get_or_compute`` path against flaky loaders, the classic serving
+ladder:
 
 1. **Cache hit** — answered normally, nothing else runs.
 2. **Miss, breaker closed** — the loader runs under a bounded
@@ -30,17 +32,22 @@ corruption): a quarantined shard serves nothing and swallows writes;
 :meth:`ResilientKVCache.rebuild` swaps in a freshly built shard —
 empty, or restored from a persisted snapshot's shard state.
 
-When the wrapped cache is a
-:class:`~repro.online.liverecovery.LiveRecoveringKVCache` (detected by
-its ``shard_serving`` probe), the ladder adds a **recovery rung**: a
-read whose shard is still replaying its WAL prefix never runs the
-loader (filling a half-replayed shard would break recovery's
-byte-identity guarantee) — it is answered from the wrapper's honest
-recovering path (pending write, stale peek) or refused with
+A store reports per-shard readiness through ``shard_serving``; only a
+:class:`~repro.online.liverecovery.LiveRecoveringKVCache` answers
+False, for shards still replaying their WAL prefix. For those the
+ladder takes a **recovery rung**: the read never runs the loader
+(filling a half-replayed shard would break recovery's byte-identity
+guarantee) — it is answered from the store's honest recovering path
+(pending write, stale peek) or refused with
 :class:`~repro.online.liverecovery.RecoveryInProgress`. Writes pass
-through unconditionally; the wrapper dual-logs and defers them itself.
+through unconditionally; the store dual-logs and defers them itself.
 :meth:`ResilientKVCache.serving_fraction` folds replay progress into
 one number the serving front uses for admission backpressure.
+
+The ladder is written once, as a generator that yields its waits
+(backoff pauses, awaited loader results); :meth:`get_or_compute` and
+:meth:`aget_or_compute` only drive it, synchronously or on an event
+loop.
 """
 
 from __future__ import annotations
@@ -50,10 +57,12 @@ import threading
 import time
 from typing import Callable, Optional
 
-from repro.online.keyspace import key_fingerprint, shard_of
+from repro.online.engine import ShardedStore
 
 #: Circuit-breaker states.
 BREAKER_STATES = ("closed", "open", "half_open")
+#: Miss marker for the ladder's hit probe.
+_MISSING = object()
 
 
 class LoaderUnavailable(RuntimeError):
@@ -231,11 +240,9 @@ class CircuitBreaker:
         the half-open trial probe owns the probe slot until it settles
         the outcome (:meth:`record_success` / :meth:`record_failure`)
         — or, if it is cancelled before the loader resolves, until it
-        releases the slot with :meth:`abort_probe`. Callers that cannot
-        be interrupted mid-call (the sync ladder) may keep using
-        :meth:`allow`; cancellable callers (the async ladder) must use
-        this form so a cancelled probe does not wedge the breaker in
-        half-open forever.
+        releases the slot with :meth:`abort_probe`. Cancellable callers
+        (the resilient ladder) must use this form so a cancelled probe
+        does not wedge the breaker in half-open forever.
         """
         with self._lock:
             state = self._advance_locked()
@@ -287,11 +294,9 @@ class ResilientKVCache:
     """Retry, circuit-break, stale-serve and quarantine around a cache.
 
     Args:
-        cache: the cache to serve through — an
-            :class:`~repro.online.engine.AdaptiveKVCache` or a
-            :class:`~repro.online.persistence.PersistentKVCache`
-            (detected via its ``cache`` attribute; shard-level probes
-            go to the engine, logged operations to the wrapper).
+        cache: the store to serve through — any
+            :class:`~repro.online.engine.ShardedStore` (the engine, or
+            its persistent or live-recovering wrapper).
         retry: loader retry schedule; default ``RetryPolicy()``.
         breaker_factory: builds one :class:`CircuitBreaker` per shard;
             default uses the breaker's defaults.
@@ -303,7 +308,7 @@ class ResilientKVCache:
 
     def __init__(
         self,
-        cache,
+        cache: ShardedStore,
         retry: Optional[RetryPolicy] = None,
         breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -316,34 +321,18 @@ class ResilientKVCache:
                 f"{min_ready_fraction}"
             )
         self.cache = cache
-        self.engine = getattr(cache, "cache", cache)
-        # A live-recovering wrapper exposes per-shard readiness; plain
-        # caches don't, and every shard counts as serving.
-        self._recovery = (
-            cache if callable(getattr(cache, "shard_serving", None)) else None
-        )
         self.retry = retry if retry is not None else RetryPolicy()
         if breaker_factory is None:
             breaker_factory = CircuitBreaker
-        self.breakers = [
-            breaker_factory() for _ in range(self.engine.num_shards)
-        ]
+        self.breakers = [breaker_factory() for _ in range(cache.num_shards)]
         self._sleep = sleep
         self._clock = clock
         self.min_ready_fraction = min_ready_fraction
         self._quarantined = set()
-
-    # ------------------------------------------------------------------
-    # Routing helpers
-    # ------------------------------------------------------------------
-
-    def _shard_index(self, key) -> int:
-        return shard_of(key_fingerprint(key), self.engine.num_shards)
-
-    def _shard_recovering(self, index: int) -> bool:
-        """Whether ``index``'s shard is still replaying its WAL."""
-        return (self._recovery is not None
-                and not self._recovery.shard_serving(index))
+        # Shards the store has not yet reported serving. A shard that
+        # serves never stops (ShardedStore), so once the store is ready
+        # serving_fraction asks it nothing per request.
+        self._unready = set(range(cache.num_shards))
 
     # ------------------------------------------------------------------
     # Serving API
@@ -352,85 +341,48 @@ class ResilientKVCache:
     def get(self, key, default=None):
         """``get`` with quarantine guarding (a quarantined shard
         answers ``default`` and counts the request as degraded)."""
-        index = self._shard_index(key)
+        index = self.cache.shard_index(key)
         if index in self._quarantined:
-            self.engine.shards[index].record_degraded()
+            self.cache.shards[index].record_degraded()
             return default
         return self.cache.get(key, default)
 
     def put(self, key, value, ttl=None, size=None) -> None:
         """``put`` with quarantine guarding (writes to a quarantined
         shard are dropped — its state is suspect until rebuilt)."""
-        if self._shard_index(key) in self._quarantined:
+        if self.cache.shard_index(key) in self._quarantined:
             return
         self.cache.put(key, value, ttl=ttl, size=size)
 
     def delete(self, key) -> bool:
         """``delete`` with quarantine guarding."""
-        if self._shard_index(key) in self._quarantined:
+        if self.cache.shard_index(key) in self._quarantined:
             return False
         return self.cache.delete(key)
 
     def get_or_compute(self, key, loader, ttl=None):
         """The resilient serving ladder (see module docstring).
 
+        Backoff pauses go to the injected ``sleep``.
+
         Raises:
             LoaderUnavailable: the loader could not produce a value
                 (failed, skipped by an open breaker, or quarantined)
                 and no stale entry was resident to serve instead.
         """
-        index = self._shard_index(key)
-        shard = self.engine.shards[index]
-        if index in self._quarantined:
-            return self._serve_stale(shard, key, None, (False, None))
-        if self._shard_recovering(index):
-            # Never run the loader against a half-replayed shard; the
-            # wrapper serves a pending write or stale peek, or refuses.
-            return self.cache.recovering_read(key)
-
-        # Capture any resident value *before* the real lookup: the
-        # cache expires lazily, so the get below would destroy an
-        # expired entry — the very value stale serving needs later.
-        stale = shard.peek_stale(key)
-        missing = object()
-        value = self.cache.get(key, missing)
-        if value is not missing:
-            return value
-
-        breaker = self.breakers[index]
-        if not breaker.allow():
-            return self._serve_stale(shard, key, None, stale)
-
-        last_error = None
-        started = self._clock()
-        pause = self.retry.backoff
-        for attempt in range(self.retry.attempts):
-            if attempt > 0:
-                if (self.retry.budget is not None
-                        and self._clock() - started >= self.retry.budget):
-                    break
-                if pause > 0:
-                    self._sleep(pause)
-                pause *= self.retry.multiplier
-            try:
-                value = loader(key)
-            except Exception as error:  # noqa: BLE001 — loader boundary
-                last_error = error
-                breaker.record_failure()
-                if not breaker.allow():
-                    break
-                continue
-            breaker.record_success()
-            self.cache.put(key, value, ttl=ttl)
-            return value
-        return self._serve_stale(shard, key, last_error, stale)
+        ladder = self._ladder(key, loader, ttl)
+        try:
+            while True:
+                self._sleep(next(ladder))
+        except StopIteration as done:
+            return done.value
 
     async def aget_or_compute(self, key, loader, ttl=None,
                               retry_budget: Optional[RetryBudget] = None):
         """The resilient serving ladder, asynchronously.
 
-        Decision-identical to :meth:`get_or_compute` — same breaker,
-        stale and quarantine ladder, same retry schedule — but backoff
+        The same ladder as :meth:`get_or_compute` — same breaker,
+        stale and quarantine rungs, same retry schedule — but backoff
         pauses are ``await asyncio.sleep`` (virtual under a
         virtual-time loop) and ``loader`` may be a plain callable or a
         coroutine function, so thousands of requests overlap on one
@@ -458,17 +410,48 @@ class ResilientKVCache:
             asyncio.CancelledError: the caller was cancelled; state is
                 consistent as described above.
         """
-        index = self._shard_index(key)
-        shard = self.engine.shards[index]
+        ladder = self._ladder(key, loader, ttl, retry_budget, awaiting=True)
+        try:
+            wait = next(ladder)
+            while True:
+                try:
+                    if asyncio.iscoroutine(wait):
+                        result = await wait
+                    else:
+                        result = await asyncio.sleep(wait)
+                except BaseException as error:  # noqa: BLE001 — rethrown
+                    # A loader failure or a cancellation lands where the
+                    # ladder waited, so its handlers (and its re-raise of
+                    # anything else) run as written.
+                    wait = ladder.throw(error)
+                else:
+                    wait = ladder.send(result)
+        except StopIteration as done:
+            return done.value
+
+    def _ladder(self, key, loader, ttl, retry_budget=None, awaiting=False):
+        """The rung decisions, written once for both drivers.
+
+        A generator returning the served value. It yields its two
+        waits to the driver: a backoff pause in seconds, and — only
+        when ``awaiting`` — a loader result that is a coroutine, whose
+        outcome the driver sends (or throws) back.
+        """
+        index = self.cache.shard_index(key)
+        shard = self.cache.shards[index]
         if index in self._quarantined:
             return self._serve_stale(shard, key, None, (False, None))
-        if self._shard_recovering(index):
+        if not self.cache.shard_serving(index):
+            # Never run the loader against a half-replayed shard; the
+            # store serves a pending write or stale peek, or refuses.
             return self.cache.recovering_read(key)
 
+        # Capture any resident value *before* the real lookup: the
+        # cache expires lazily, so the get below would destroy an
+        # expired entry — the very value stale serving needs later.
         stale = shard.peek_stale(key)
-        missing = object()
-        value = self.cache.get(key, missing)
-        if value is not missing:
+        value = self.cache.get(key, _MISSING)
+        if value is not _MISSING:
             return value
 
         breaker = self.breakers[index]
@@ -493,18 +476,15 @@ class ResilientKVCache:
                             break
                         token = retry_budget is not None
                         if pause > 0:
-                            await asyncio.sleep(pause)
+                            yield pause
                         pause *= self.retry.multiplier
                     try:
                         value = loader(key)
-                        if asyncio.iscoroutine(value):
-                            value = await value
-                    except asyncio.CancelledError:
-                        raise
+                        if awaiting and asyncio.iscoroutine(value):
+                            value = yield value
                     except Exception as error:  # noqa: BLE001 — loader boundary
                         last_error = error
                         breaker.record_failure()
-                        probe = False
                         admitted, probe = breaker.admit()
                         if not admitted:
                             break
@@ -544,12 +524,18 @@ class ResilientKVCache:
 
     def quarantine(self, index: int) -> None:
         """Take shard ``index`` out of service."""
-        if not 0 <= index < self.engine.num_shards:
+        if not 0 <= index < self.cache.num_shards:
             raise IndexError(f"shard index {index} out of range")
         self._quarantined.add(index)
 
     def rebuild(self, index: int, shard_state: Optional[dict] = None) -> None:
         """Swap in a fresh shard and return it to service.
+
+        The store rebuilds the shard: durably on a persistent chain,
+        and not at all while a live recovery replays (the shard then
+        stays quarantined and
+        :class:`~repro.online.liverecovery.RecoveryInProgress` is
+        raised).
 
         Args:
             index: the quarantined shard.
@@ -558,7 +544,7 @@ class ResilientKVCache:
                 (:func:`repro.online.persistence.read_snapshot`) to
                 restore instead of starting empty.
         """
-        self.engine.rebuild_shard(index, shard_state)
+        self.cache.rebuild_shard(index, shard_state)
         self._quarantined.discard(index)
 
     def quarantined(self) -> frozenset:
@@ -581,8 +567,9 @@ class ResilientKVCache:
             "quarantined": sorted(self._quarantined),
             "stale_hits": stats.stale_hits,
             "degraded": stats.degraded,
-            "recovering": (self._recovery is not None
-                           and self._recovery.recovering),
+            "recovering": not all(
+                map(self.cache.shard_serving, range(self.cache.num_shards))
+            ),
             "serving_fraction": self.serving_fraction(),
             "ready": self.ready(),
         }
@@ -595,16 +582,15 @@ class ResilientKVCache:
         front scales its admission bound by this number, shedding
         early while capacity is genuinely reduced.
         """
-        num_shards = self.engine.num_shards
-        if self._recovery is None:
-            return (num_shards - len(self._quarantined)) / num_shards
-        serving = sum(
-            1
-            for index in range(num_shards)
-            if index not in self._quarantined
-            and self._recovery.shard_serving(index)
-        )
-        return serving / num_shards
+        out_of_service = self._quarantined
+        if self._unready:
+            shard_serving = self.cache.shard_serving
+            self._unready = {
+                index for index in self._unready if not shard_serving(index)
+            }
+            out_of_service = out_of_service | self._unready
+        num_shards = self.cache.num_shards
+        return (num_shards - len(out_of_service)) / num_shards
 
     def ready(self) -> bool:
         """Readiness probe: enough shards in service to take traffic."""
@@ -620,7 +606,7 @@ class ResilientKVCache:
 
     def __contains__(self, key) -> bool:
         """Residency probe (quarantined shards report absent)."""
-        if self._shard_index(key) in self._quarantined:
+        if self.cache.shard_index(key) in self._quarantined:
             return False
         return key in self.cache
 

@@ -139,22 +139,16 @@ class AsyncServingFront:
         await self._admitted(key, self._serve_write(key, value, ttl))
 
     def _admission_bound(self) -> Optional[int]:
-        """The effective in-flight bound, scaled during live recovery.
+        """The effective in-flight bound, scaled by serving capacity.
 
-        ``max_pending * serving_fraction`` (never below 1) while the
-        underlying cache is replaying its WAL; ``max_pending`` — and no
-        per-request probing — otherwise.
+        ``max_pending * serving_fraction`` (never below 1) while some
+        shards are out of service — replaying their WAL or
+        quarantined; ``max_pending`` otherwise.
         """
         bound = self.max_pending
         if bound is None:
             return None
-        fraction_of = getattr(self.resilient, "serving_fraction", None)
-        if fraction_of is None:
-            return bound
-        fraction = fraction_of()
-        if fraction >= 1.0:
-            return bound
-        return max(1, int(bound * fraction))
+        return max(1, int(bound * self.resilient.serving_fraction()))
 
     async def _admitted(self, key, serving):
         """Admission check + deadline around one serving coroutine."""

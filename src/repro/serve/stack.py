@@ -253,6 +253,10 @@ class _TieredResilient:
     def put(self, key, value, ttl=None, size=None) -> None:
         self.tiered.put(key, value)
 
+    def serving_fraction(self) -> float:
+        """Every tier serves: the front never scales its bound."""
+        return 1.0
+
     def stats(self):
         """Counter view shaped like the resilient stack's stats."""
         raw = self.tiered.stats()

@@ -47,7 +47,7 @@ def key_on_shard(resilient, shard_index, prefix="k"):
     """A key that routes to ``shard_index``."""
     for i in range(10_000):
         key = f"{prefix}{i}"
-        if resilient._shard_index(key) == shard_index:
+        if resilient.cache.shard_index(key) == shard_index:
             return key
     raise AssertionError("no key found for shard")
 

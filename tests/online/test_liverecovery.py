@@ -170,7 +170,7 @@ class TestHonestServing:
     def _replaying_key(self, live, limit=64):
         """A key whose shard has not finished replay yet."""
         for key in range(limit):
-            if not live.shard_serving(live._shard_index(key)):
+            if not live.shard_serving(live.shard_index(key)):
                 return key
         pytest.fail("no replaying shard found")
 
@@ -217,6 +217,31 @@ class TestHonestServing:
         assert key not in live
         live.close()
 
+    def test_read_of_deferred_delete_is_a_refusal(self, tmp_path):
+        """Both recovering read paths count a deleted key as refused."""
+        directory = self._crashed(tmp_path)
+        live = LiveRecoveringKVCache(directory, chunk_ops=1)
+        key = self._replaying_key(live)
+        live.delete(key)
+        assert live.get(key, "dflt") == "dflt"
+        with pytest.raises(RecoveryInProgress):
+            live.recovering_read(key)
+        assert live.recovery.refused_reads == 2
+        assert live.recovery.stale_serves == 0
+        live.close()
+
+    def test_rebuild_refused_while_replaying(self, tmp_path):
+        directory = self._crashed(tmp_path)
+        live = LiveRecoveringKVCache(directory, chunk_ops=1)
+        generation = live.generation
+        with pytest.raises(RecoveryInProgress):
+            live.rebuild_shard(0)
+        assert live.generation == generation  # no rotation mid-replay
+        live.finish()
+        live.rebuild_shard(0)
+        assert live.generation == generation + 1
+        live.close()
+
     def test_stale_peek_of_partial_shard(self, tmp_path):
         directory = self._crashed(tmp_path)
         live = LiveRecoveringKVCache(directory, chunk_ops=1)
@@ -225,7 +250,7 @@ class TestHonestServing:
         # stale; find one via the engine's residency.
         served = None
         for key in range(40):
-            index = live._shard_index(key)
+            index = live.shard_index(key)
             if not live.shard_serving(index) and key in live.cache:
                 served = key
                 break
@@ -264,7 +289,7 @@ class TestReadinessProgression:
             fractions.append(live.serving_fraction())
         assert fractions[-1] == 1.0
         assert fractions == sorted(fractions)  # monotone readiness
-        assert live.recovery_complete
+        assert not live.recovering
         assert live.step() == 0
         progress = live.replay_progress()
         assert progress["recovering"] is False

@@ -19,13 +19,12 @@ from repro.online.engine import AdaptiveKVCache
 from repro.online.persistence import (
     PersistentKVCache,
     SnapshotCorruptError,
+    apply_wal_record,
     encode_record,
     iter_wal,
     kv_stats_digest,
     read_snapshot,
-    read_wal,
     recover,
-    replay_into,
     write_snapshot,
 )
 from tests import strategies
@@ -62,6 +61,15 @@ def _behavior(cache, probe_keys=range(24)):
     return kv_stats_digest(stats), [key in cache for key in probe_keys]
 
 
+def _decode(path):
+    """A WAL's intact records and the byte length of its intact prefix,
+    via :func:`iter_wal`."""
+    records, good = [], 0
+    for record, good in iter_wal(path):
+        records.append(record)
+    return records, good
+
+
 class TestWalFraming:
     def test_record_roundtrip(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -69,12 +77,12 @@ class TestWalFraming:
         with open(path, "wb") as handle:
             for op in ops:
                 handle.write(encode_record(op))
-        records, good = read_wal(path)
+        records, good = _decode(path)
         assert records == ops
         assert good == os.path.getsize(path)
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert read_wal(str(tmp_path / "absent.log")) == ([], 0)
+        assert _decode(str(tmp_path / "absent.log")) == ([], 0)
 
     def test_torn_tail_truncated(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -82,7 +90,7 @@ class TestWalFraming:
         blob = b"".join(frames)
         with open(path, "wb") as handle:
             handle.write(blob[:-3])  # tear the last frame
-        records, good = read_wal(path)
+        records, good = _decode(path)
         assert records == [("get", i) for i in range(4)]
         assert good == sum(len(f) for f in frames[:4])
 
@@ -93,26 +101,25 @@ class TestWalFraming:
         blob[len(frames[0]) + 9] ^= 0xFF  # corrupt frame 1's payload
         with open(path, "wb") as handle:
             handle.write(bytes(blob))
-        records, good = read_wal(path)
+        records, good = _decode(path)
         assert records == [("get", 0)]
         assert good == len(frames[0])
 
-    def test_iter_wal_streams_what_read_wal_returns(self, tmp_path):
+    def test_iter_wal_offsets_are_intact_prefix_lengths(self, tmp_path):
         path = str(tmp_path / "wal.log")
         frames = [encode_record(("get", i)) for i in range(6)]
         with open(path, "wb") as handle:
             handle.write(b"".join(frames)[:-5])  # torn tail
         streamed = list(iter_wal(path))
-        records, good = read_wal(path)
-        assert [record for record, _ in streamed] == records
-        assert streamed[-1][1] == good
+        assert [record for record, _ in streamed] == [
+            ("get", i) for i in range(5)
+        ]
         # Offsets are the running intact-prefix lengths.
         expected, offsets = 0, []
         for frame in frames[:5]:
             expected += len(frame)
             offsets.append(expected)
         assert [offset for _, offset in streamed] == offsets
-        assert list(iter_wal(str(tmp_path / "absent.log"))) == []
 
     def test_iter_wal_end_bound_excludes_crossing_records(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -206,19 +213,20 @@ class TestRecoveryDecisionIdentity:
         assert _behavior(first) == _behavior(second)
 
     def test_wal_replay_reconstructs_engine(self):
-        """replay_into over a decoded log equals driving the ops live."""
+        """Applying a decoded log equals driving the ops live."""
         ops = [("get_or_compute", k % 9) for k in range(40)]
         reference = _engine("lru")
         _drive(reference, ops)
         records = [("goc_fill", k % 9, (k % 9) * 3 + 1, None)
                    for k in range(40)]
         replayed = _engine("lru")
-        replay_into(replayed, records)
+        for record in records:
+            apply_wal_record(replayed, record)
         assert _behavior(replayed) == _behavior(reference)
 
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown WAL record"):
-            replay_into(_engine("lru"), [("warp", 1)])
+            apply_wal_record(_engine("lru"), ("warp", 1))
 
 
 class TestCrashWindows:

@@ -10,7 +10,13 @@ every timing behavior is deterministic.
 
 import pytest
 
-from repro.online.engine import AdaptiveKVCache
+from repro.online.engine import AdaptiveKVCache, ShardedStore
+from repro.online.liverecovery import live_recover
+from repro.online.persistence import (
+    PersistentKVCache,
+    kv_stats_digest,
+    recover,
+)
 from repro.online.resilience import (
     BREAKER_STATES,
     CircuitBreaker,
@@ -192,7 +198,7 @@ class TestBreakerIntegration:
             with pytest.raises(LoaderUnavailable):
                 wrapper.get_or_compute("k", loader)
         calls_when_tripped = loader.calls
-        index = wrapper._shard_index("k")
+        index = wrapper.cache.shard_index("k")
         assert wrapper.breakers[index].state == "open"
         with pytest.raises(LoaderUnavailable):
             wrapper.get_or_compute("k", loader)
@@ -207,7 +213,7 @@ class TestBreakerIntegration:
                 wrapper.get_or_compute("k", loader)
         clock.advance(31.0)
         assert wrapper.get_or_compute("k", loader) == "value-of-k"
-        index = wrapper._shard_index("k")
+        index = wrapper.cache.shard_index("k")
         assert wrapper.breakers[index].state == "closed"
 
 
@@ -215,7 +221,7 @@ class TestQuarantine:
     def test_quarantined_shard_serves_nothing(self):
         wrapper, loader, _clock, _sleeps = _resilient()
         wrapper.put("k", "v")
-        index = wrapper._shard_index("k")
+        index = wrapper.cache.shard_index("k")
         wrapper.quarantine(index)
         assert wrapper.get("k", default="fallback") == "fallback"
         assert "k" not in wrapper
@@ -229,7 +235,7 @@ class TestQuarantine:
     def test_rebuild_empty_returns_to_service(self):
         wrapper, loader, _clock, _sleeps = _resilient()
         wrapper.put("k", "v")
-        index = wrapper._shard_index("k")
+        index = wrapper.cache.shard_index("k")
         wrapper.quarantine(index)
         wrapper.rebuild(index)
         assert wrapper.quarantined() == frozenset()
@@ -239,8 +245,8 @@ class TestQuarantine:
     def test_rebuild_from_snapshot_state_restores_entries(self):
         wrapper, loader, _clock, _sleeps = _resilient()
         wrapper.put("k", "precious", ttl=10_000.0)
-        index = wrapper._shard_index("k")
-        shard_state = wrapper.engine.state_dict()["shards"][index]
+        index = wrapper.cache.shard_index("k")
+        shard_state = wrapper.cache.state_dict()["shards"][index]
         wrapper.quarantine(index)
         wrapper.rebuild(index, shard_state)
         assert wrapper.get("k") == "precious"
@@ -255,6 +261,50 @@ class TestQuarantine:
         cache = AdaptiveKVCache(capacity_entries=32, num_shards=4)
         with pytest.raises(ValueError):
             ResilientKVCache(cache, min_ready_fraction=0.0)
+
+
+class TestStoreSurface:
+    def test_every_store_of_the_chain_answers_it(self, tmp_path):
+        engine = AdaptiveKVCache(capacity_entries=16, num_shards=4)
+        persistent = PersistentKVCache(engine, str(tmp_path / "state"))
+        persistent.put("k", "v")
+        persistent.close()
+        live = live_recover(str(tmp_path / "state"))
+        for store in (engine, persistent, live):
+            assert isinstance(store, ShardedStore)
+            assert store.num_shards == 4 and len(store.shards) == 4
+            assert store.shard_index("k") == engine.shard_index("k")
+        assert not isinstance(object(), ShardedStore)
+        live.close()
+
+
+class TestDurableRebuild:
+    def test_rebuild_through_persistent_chain_survives_recovery(
+        self, tmp_path
+    ):
+        """A quarantine rebuild reaches the log: recovery restores the
+        rebuilt state, not the entries the rebuild dropped."""
+        directory = str(tmp_path / "state")
+        persistent = PersistentKVCache(
+            AdaptiveKVCache(capacity_entries=64, num_shards=4), directory
+        )
+        wrapper = ResilientKVCache(persistent)
+        for i in range(100):
+            wrapper.put(f"k{i}", i)
+        wrapper.quarantine(1)
+        wrapper.rebuild(1)
+        for i in range(100, 120):
+            wrapper.put(f"k{i}", i)
+        persistent.sync()
+        keys = [f"k{i}" for i in range(120)]
+        live = (len(persistent), [key in persistent for key in keys],
+                kv_stats_digest(persistent.stats()))
+        persistent.close()
+
+        recovered = recover(directory)
+        assert (len(recovered), [key in recovered for key in keys],
+                kv_stats_digest(recovered.stats())) == live
+        recovered.close()
 
 
 class TestHealthProbes:

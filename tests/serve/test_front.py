@@ -7,6 +7,8 @@ import asyncio
 import pytest
 
 from repro.online.engine import AdaptiveKVCache
+from repro.online.liverecovery import LiveRecoveringKVCache
+from repro.online.persistence import PersistentKVCache
 from repro.online.resilience import ResilientKVCache, RetryPolicy
 from repro.serve.front import AsyncServingFront, RequestShed, RequestTimeout
 from repro.serve.vloop import VirtualTimeEventLoop
@@ -172,6 +174,63 @@ class TestDeadlines:
 
         assert loop.run_until_complete(main()) == ("v", "k")
         assert front.timeouts == 0
+
+
+class TestAdmissionBound:
+    MAX_PENDING = 10
+
+    def _crashed(self, directory):
+        """A persistence directory with a WAL prefix over 4 shards."""
+        persistent = PersistentKVCache(
+            AdaptiveKVCache(capacity_entries=64, num_shards=4), directory,
+            snapshot_every=None, wal_flush_ops=1,
+        )
+        for key in range(80):
+            persistent.get_or_compute(key, lambda k: ("v", k))
+        persistent.close()
+
+    def test_scaled_by_serving_fraction_during_live_recovery(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "state")
+        self._crashed(directory)
+        live = LiveRecoveringKVCache(directory, chunk_ops=5)
+        resilient = ResilientKVCache(live)
+        front = AsyncServingFront(resilient, max_pending=self.MAX_PENDING)
+        seen = set()
+        while live.recovering:
+            fraction = resilient.serving_fraction()
+            assert fraction == live.serving_fraction()
+            assert front._admission_bound() == max(
+                1, int(self.MAX_PENDING * fraction)
+            )
+            seen.add(front._admission_bound())
+            live.step()
+        # Mid-replay bounds were scaled down, from the floor of 1 up.
+        assert 1 in seen and len(seen) > 2
+        assert max(seen) < self.MAX_PENDING
+        assert front._admission_bound() == self.MAX_PENDING
+        live.close()
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_never_scaled_over_a_ready_chain(self, tmp_path, persistent):
+        loop = VirtualTimeEventLoop()
+        store = AdaptiveKVCache(capacity_entries=64, num_shards=4,
+                                clock=loop.time)
+        if persistent:
+            store = PersistentKVCache(store, str(tmp_path / "state"))
+        front = AsyncServingFront(ResilientKVCache(store),
+                                  max_pending=self.MAX_PENDING)
+
+        async def main():
+            for key in range(20):
+                await front.handle(key, slow_loader(0.001))
+                assert front._admission_bound() == self.MAX_PENDING
+
+        loop.run_until_complete(main())
+        assert front.completed == 20
+        unbounded = AsyncServingFront(ResilientKVCache(store))
+        assert unbounded._admission_bound() is None
 
 
 class TestValidation:

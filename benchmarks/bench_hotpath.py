@@ -20,6 +20,12 @@ capacities 64 and 4096) and gates capacity independence: the
 LRU/adaptive ops ratio at 4096 may be at most the baselines'
 ``online.max_ratio_growth`` times the ratio at 64. Both policies run
 on the same runner, so the ratio does not move with runner speed.
+
+It also runs the front lane (:func:`repro.perf.bench.bench_front`:
+hits through the async serving front over a trivial store, with and
+without a deadline) and gates the front's deadline bookkeeping: the
+deadline run may cost at most the baselines'
+``front.max_deadline_overhead`` times the run without one.
 """
 
 from __future__ import annotations
@@ -35,8 +41,10 @@ import pytest
 from repro.perf.bench import (
     HOTPATH_POLICIES,
     ONLINE_CAPACITIES,
+    bench_front,
     bench_hotpath,
     bench_online,
+    render_front,
     render_online,
     synthetic_stream,
 )
@@ -156,6 +164,25 @@ def check_online(online: dict, baselines: dict) -> "list[str]":
     return []
 
 
+def check_front(front: dict, baselines: dict) -> "list[str]":
+    """Gate a :func:`bench_front` result on the deadline's cost.
+
+    Returns a violation message when a hit under a deadline costs more
+    than ``baselines["front"]["max_deadline_overhead"]`` times a hit
+    without one.
+    """
+    bound = baselines["front"]["max_deadline_overhead"]
+    overhead = front["deadline_overhead"]
+    if overhead > bound:
+        us = front["us_per_op"]
+        return [
+            f"front: a hit under a deadline costs {overhead:.2f}x one "
+            f"without ({us['deadline']:.2f} vs {us['no_deadline']:.2f} "
+            f"us/op), over the {bound}x bound"
+        ]
+    return []
+
+
 def main(argv=None) -> int:
     """CI gate entry point: measure, compare, report, exit non-zero on
     regression."""
@@ -193,7 +220,9 @@ def main(argv=None) -> int:
 
     online = bench_online()
     print("\n".join(render_online(online)))
-    report = dict(measured, online=online)
+    front = bench_front()
+    print("\n".join(render_front(front)))
+    report = dict(measured, online=online, front=front)
 
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
@@ -202,6 +231,7 @@ def main(argv=None) -> int:
 
     violations = check_against_baselines(measured, baselines)
     violations += check_online(online, baselines)
+    violations += check_front(front, baselines)
     if violations:
         print("REGRESSION: pinned performance gates failed:",
               file=sys.stderr)

@@ -14,7 +14,11 @@ to ``BENCH_perf.json``:
   :func:`~repro.experiments.base.run_policy_sweep` path;
 * **online lane** — ops/sec of a single-shard online cache under LRU
   and adaptive at two shard capacities, whose LRU/adaptive ratio shows
-  whether the adaptive per-operation cost grows with capacity.
+  whether the adaptive per-operation cost grows with capacity;
+* **front lane** — µs/op of hits through the async serving front over
+  a trivial store, with and without a deadline, whose ratio is the
+  front's deadline bookkeeping cost (run by the CI gate only, not
+  recorded in ``BENCH_perf.json``).
 
 The recorded file also carries the machine context (CPU count, Python
 version) because both numbers are meaningless without it; the CI
@@ -25,6 +29,7 @@ for exactly that reason.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import platform
@@ -61,6 +66,13 @@ ONLINE_POLICIES = ("lru", "adaptive")
 ONLINE_UNIVERSE = 20_000
 ONLINE_OPS = 20_000
 ONLINE_SEED = 7
+
+#: Front lane: hits per timed run, distinct keys, its deadline, and
+#: timed runs per variant (the best one counts).
+FRONT_OPS = 20_000
+FRONT_KEYS = 64
+FRONT_DEADLINE = 0.1
+FRONT_REPEATS = 5
 
 
 def synthetic_stream(
@@ -206,6 +218,75 @@ def bench_online(repeats: int = 3) -> Dict[str, object]:
     }
 
 
+class _HitStore:
+    """The cheapest store a front can serve: every read hits a dict.
+
+    Stands in for the resilient cache so the front lane times the
+    front's own admission, slot and deadline work and nothing below it.
+    """
+
+    def __init__(self, keys: int):
+        self.values = {key: key for key in range(keys)}
+
+    async def aget_or_compute(self, key, loader, ttl=None,
+                              retry_budget=None):
+        return self.values[key]
+
+    def serving_fraction(self) -> float:
+        return 1.0
+
+
+def bench_front() -> Dict[str, object]:
+    """µs/op of hits through :class:`~repro.serve.front.AsyncServingFront`.
+
+    One task awaits ``FRONT_OPS`` reads in turn through a front over
+    :class:`_HitStore` on a fresh real event loop, once without and
+    once with a ``FRONT_DEADLINE`` deadline (the serving stack's
+    settings otherwise: 8 slots, ``max_pending`` 256). The variants
+    alternate and each keeps its best of ``FRONT_REPEATS`` runs.
+    ``deadline_overhead`` — with over without — is what the front
+    gate compares: both run on the same runner back to back, so the
+    ratio does not move with runner speed.
+    """
+    from repro.serve.front import AsyncServingFront
+
+    keys = [i % FRONT_KEYS for i in range(FRONT_OPS)]
+    variants = {"no_deadline": None, "deadline": FRONT_DEADLINE}
+    best: Dict[str, float] = {}
+
+    async def drive(front):
+        handle = front.handle
+        start = time.perf_counter()
+        for key in keys:
+            await handle(key, None)
+        return time.perf_counter() - start
+
+    for _ in range(FRONT_REPEATS):
+        for name, deadline in variants.items():
+            front = AsyncServingFront(
+                _HitStore(FRONT_KEYS), concurrency=8, max_pending=256,
+                deadline=deadline,
+            )
+            loop = asyncio.new_event_loop()
+            try:
+                elapsed = loop.run_until_complete(drive(front))
+            finally:
+                loop.close()
+            if front.completed != FRONT_OPS:
+                raise AssertionError(
+                    f"front lane ({name}) completed {front.completed} "
+                    f"of {FRONT_OPS} hits"
+                )
+            best[name] = min(best.get(name, elapsed), elapsed)
+    us = {name: best[name] / FRONT_OPS * 1e6 for name in variants}
+    return {
+        "ops": FRONT_OPS,
+        "deadline_s": FRONT_DEADLINE,
+        "us_per_op": {name: round(value, 3) for name, value in us.items()},
+        "deadline_overhead": round(us["deadline"] / us["no_deadline"], 3),
+    }
+
+
 def bench_sweep(
     workers_counts: Sequence[int] = (1, 4),
     accesses: int = 4000,
@@ -302,6 +383,17 @@ def render_online(online: Dict[str, object]) -> List[str]:
             f"lru/adaptive {row['lru_over_adaptive']:.2f}x"
         )
     return lines
+
+
+def render_front(front: Dict[str, object]) -> List[str]:
+    """Report lines for a :func:`bench_front` result."""
+    us = front["us_per_op"]
+    return [
+        f"front (hits over a trivial store, {front['ops']} ops, us/op):",
+        f"  no deadline {us['no_deadline']:>8.2f}   "
+        f"deadline {us['deadline']:>8.2f}   "
+        f"deadline/no-deadline {front['deadline_overhead']:.2f}x",
+    ]
 
 
 def render_perf(report: Dict[str, object]) -> str:

@@ -14,14 +14,23 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.perf.bench import (
+    bench_front,
     bench_hotpath,
     bench_sweep,
+    render_front,
     render_perf,
     run_perf,
     synthetic_stream,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: Front-lane results: deadline bookkeeping at 1.4x and at 6.2x (the
+#: per-request ``asyncio.wait_for`` the deadline queue replaced).
+FLAT_FRONT = {"ops": 1, "deadline_overhead": 1.4,
+              "us_per_op": {"no_deadline": 3.21, "deadline": 4.49}}
+COSTLY_FRONT = {"ops": 1, "deadline_overhead": 6.2,
+                "us_per_op": {"no_deadline": 3.21, "deadline": 19.9}}
 
 
 def load_gate():
@@ -76,6 +85,23 @@ class TestBenchSweep:
         assert set(report["wall_clock_sec_by_workers"]) == {"1"}
         assert report["results_identical_across_workers"] is True
         assert report["workloads"] == ["lucas"]
+
+
+class TestBenchFront:
+    def test_reports_both_variants(self, monkeypatch):
+        import repro.perf.bench as bench_mod
+
+        monkeypatch.setattr(bench_mod, "FRONT_OPS", 500)
+        monkeypatch.setattr(bench_mod, "FRONT_REPEATS", 1)
+        front = bench_front()
+        assert front["ops"] == 500
+        us = front["us_per_op"]
+        assert set(us) == {"no_deadline", "deadline"}
+        assert all(value > 0 for value in us.values())
+        assert front["deadline_overhead"] == pytest.approx(
+            us["deadline"] / us["no_deadline"], rel=0.01
+        )
+        assert "deadline/no-deadline" in "\n".join(render_front(front))
 
 
 class TestRunPerf:
@@ -133,13 +159,15 @@ class TestRegressionGate:
                                             monkeypatch):
         import repro.perf.bench as bench_mod
 
-        # The online lane runs for real, on a shorter stream.
+        # The online and front lanes run for real, on shorter streams.
         monkeypatch.setattr(bench_mod, "ONLINE_OPS", 2000)
+        monkeypatch.setattr(bench_mod, "FRONT_OPS", 2000)
         gate = load_gate()
         easy = tmp_path / "floors.json"
         easy.write_text(json.dumps(
             {"regression_margin": 0.15,
              "online": {"max_ratio_growth": 1000.0},
+             "front": {"max_deadline_overhead": 1000.0},
              "floors": {"lru": {"access_per_sec": 1}}}
         ))
         out = tmp_path / "measured.json"
@@ -152,6 +180,10 @@ class TestRegressionGate:
         measured = json.loads(out.read_text())
         assert "lru" in measured
         assert set(measured["online"]["by_capacity"]) == {"64", "4096"}
+        assert "deadline/no-deadline" in captured
+        assert measured["front"]["ops"] == 2000
+        assert set(measured["front"]["us_per_op"]) == {"no_deadline",
+                                                       "deadline"}
 
     def test_main_fails_on_capacity_cliff(self, tmp_path, capsys,
                                           monkeypatch):
@@ -163,9 +195,11 @@ class TestRegressionGate:
             for capacity, ratio in (("64", 4.9), ("4096", 23.5))
         }}
         monkeypatch.setattr(gate, "bench_online", lambda: cliff)
+        monkeypatch.setattr(gate, "bench_front", lambda: FLAT_FRONT)
         easy = tmp_path / "floors.json"
         easy.write_text(json.dumps(
             {"online": {"max_ratio_growth": 1.5},
+             "front": {"max_deadline_overhead": 2.0},
              "floors": {"lru": {"access_per_sec": 1}}}
         ))
         code = gate.main(["--quick", "--baselines", str(easy)])
@@ -177,6 +211,7 @@ class TestRegressionGate:
         monkeypatch.setattr(gate, "bench_online", lambda: {
             "ops": 1, "by_capacity": {},
         })
+        monkeypatch.setattr(gate, "bench_front", lambda: FLAT_FRONT)
         no_gate = tmp_path / "floors.json"
         no_gate.write_text(json.dumps(
             {"floors": {"lru": {"access_per_sec": 1}}}
@@ -203,16 +238,73 @@ class TestRegressionGate:
         baselines = load_gate().load_baselines()
         assert 1.0 < baselines["online"]["max_ratio_growth"] <= 2.0
 
+    def test_main_fails_on_costly_deadlines(self, tmp_path, capsys,
+                                            monkeypatch):
+        gate = load_gate()
+        flat = {"ops": 1, "by_capacity": {
+            capacity: {"lru": {"ops_per_s": 3.0},
+                       "adaptive": {"ops_per_s": 1.0},
+                       "lru_over_adaptive": 3.0}
+            for capacity in ("64", "4096")
+        }}
+        monkeypatch.setattr(gate, "bench_online", lambda: flat)
+        monkeypatch.setattr(gate, "bench_front", lambda: COSTLY_FRONT)
+        easy = tmp_path / "floors.json"
+        easy.write_text(json.dumps(
+            {"online": {"max_ratio_growth": 1.5},
+             "front": {"max_deadline_overhead": 2.0},
+             "floors": {"lru": {"access_per_sec": 1}}}
+        ))
+        code = gate.main(["--quick", "--baselines", str(easy)])
+        assert code == 1
+        assert "under a deadline costs 6.20x" in capsys.readouterr().err
+
+    def test_main_needs_the_front_gate(self, tmp_path, monkeypatch):
+        gate = load_gate()
+        flat = {"ops": 1, "by_capacity": {
+            capacity: {"lru": {"ops_per_s": 1.0},
+                       "adaptive": {"ops_per_s": 1.0},
+                       "lru_over_adaptive": 1.0}
+            for capacity in ("64", "4096")
+        }}
+        monkeypatch.setattr(gate, "bench_online", lambda: flat)
+        monkeypatch.setattr(gate, "bench_front", lambda: FLAT_FRONT)
+        no_gate = tmp_path / "floors.json"
+        no_gate.write_text(json.dumps(
+            {"online": {"max_ratio_growth": 1.5},
+             "floors": {"lru": {"access_per_sec": 1}}}
+        ))
+        with pytest.raises(KeyError, match="front"):
+            gate.main(["--quick", "--baselines", str(no_gate)])
+
+    def test_front_gate_passes_cheap_deadlines(self):
+        gate = load_gate()
+        baselines = {"front": {"max_deadline_overhead": 2.0}}
+        assert gate.check_front(FLAT_FRONT, baselines) == []
+
+    def test_front_gate_catches_costly_deadlines(self):
+        gate = load_gate()
+        baselines = {"front": {"max_deadline_overhead": 2.0}}
+        (violation,) = gate.check_front(COSTLY_FRONT, baselines)
+        assert "6.20x" in violation
+        assert "19.90 vs 3.21 us/op" in violation
+
+    def test_pinned_front_gate(self):
+        baselines = load_gate().load_baselines()
+        assert 1.0 < baselines["front"]["max_deadline_overhead"] <= 3.0
+
     def test_main_fails_on_impossible_floors(self, tmp_path, capsys,
                                              monkeypatch):
         import repro.perf.bench as bench_mod
 
         monkeypatch.setattr(bench_mod, "ONLINE_OPS", 2000)
+        monkeypatch.setattr(bench_mod, "FRONT_OPS", 2000)
         gate = load_gate()
         hard = tmp_path / "floors.json"
         hard.write_text(json.dumps(
             {"regression_margin": 0.0,
              "online": {"max_ratio_growth": 1000.0},
+             "front": {"max_deadline_overhead": 1000.0},
              "floors": {"lru": {"access_per_sec": 10 ** 12}}}
         ))
         code = gate.main(["--quick", "--baselines", str(hard)])
